@@ -19,9 +19,6 @@
 /// instances (endpoint mode); `route --spawn` adds fork/exec supervision
 /// but the data path measured here is byte-for-byte the same.
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
 #include <unistd.h>
 
 #include <cstdio>
@@ -35,6 +32,7 @@
 #include "bench_support.hpp"
 #include "io/request_io.hpp"
 #include "io/result_io.hpp"
+#include "net/socket.hpp"
 #include "router/router.hpp"
 #include "server/server.hpp"
 #include "util/fdio.hpp"
@@ -75,12 +73,8 @@ std::vector<core::Problem> make_grid() {
 /// wall-less comparable form of every response.
 std::vector<std::string> drive_client(std::uint16_t port,
                                       const std::vector<std::string>& lines) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(port);
-  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0) {
+  const int fd = net::connect("127.0.0.1", port);
+  if (fd < 0) {
     std::perror("bench_router: connect");
     std::exit(1);
   }

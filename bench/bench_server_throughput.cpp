@@ -21,9 +21,6 @@
 /// *connections*; on a single-core container the rate is protocol-bound,
 /// not solver-bound, which is exactly what this isolates.
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
 #include <unistd.h>
 
 #include <cstdio>
@@ -37,6 +34,7 @@
 #include "bench_support.hpp"
 #include "io/request_io.hpp"
 #include "io/result_io.hpp"
+#include "net/socket.hpp"
 #include "server/server.hpp"
 #include "util/fdio.hpp"
 #include "util/table.hpp"
@@ -75,12 +73,8 @@ std::vector<core::Problem> make_grid() {
 /// wall-less comparable form of every response.
 std::vector<std::string> drive_client(std::uint16_t port,
                                       const std::vector<std::string>& lines) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(port);
-  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0) {
+  const int fd = net::connect("127.0.0.1", port);
+  if (fd < 0) {
     std::perror("bench_server_throughput: connect");
     std::exit(1);
   }

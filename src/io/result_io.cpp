@@ -6,6 +6,7 @@
 #include <utility>
 #include <vector>
 
+#include "util/fdio.hpp"
 #include "util/numeric.hpp"
 
 namespace pipeopt::io {
@@ -265,6 +266,12 @@ std::string format_error(const std::string& message, const std::string& id,
   if (!code.empty()) out.field("code", code);
   out.field("message", message);
   return std::move(out).str();
+}
+
+std::string format_line_too_long() {
+  return format_error("request line exceeds " +
+                          std::to_string(util::kMaxLineBytes) + " bytes",
+                      "", "line-too-long");
 }
 
 }  // namespace pipeopt::io

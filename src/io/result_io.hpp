@@ -113,4 +113,8 @@ struct WireParetoSummary {
                                        const std::string& id = {},
                                        const std::string& code = {});
 
+/// The typed `line-too-long` error a front session (server, router or
+/// stdio) answers before closing on a line over util::kMaxLineBytes.
+[[nodiscard]] std::string format_line_too_long();
+
 }  // namespace pipeopt::io

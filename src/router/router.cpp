@@ -1,18 +1,13 @@
 #include "router/router.hpp"
 
-#include <arpa/inet.h>
-#include <csignal>
-#include <cstring>
 #include <fcntl.h>
-#include <netinet/in.h>
 #include <poll.h>
-#include <sys/socket.h>
-#include <sys/time.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
+#include <charconv>
 #include <cstdlib>
 #include <functional>
 #include <stdexcept>
@@ -36,76 +31,8 @@ constexpr auto kSlotWaitInterval = std::chrono::milliseconds(50);
 /// counts as failed (solver registration is cheap; this is pure margin).
 constexpr auto kSpawnDeadline = std::chrono::seconds(10);
 
-#ifdef POLLRDHUP
-constexpr short kHupEvents = POLLRDHUP | POLLHUP | POLLERR;
-#else
-constexpr short kHupEvents = POLLHUP | POLLERR;
-#endif
-
-/// Signal-handler target of install_signal_handlers (same pattern as the
-/// server: one byte into the wake pipe, the poll loop does the shutdown).
-std::atomic<int> g_signal_wake_fd{-1};
-
-void signal_to_pipe(int) {
-  const int fd = g_signal_wake_fd.load(std::memory_order_relaxed);
-  if (fd >= 0) {
-    const char byte = 1;
-    [[maybe_unused]] const ssize_t n = ::write(fd, &byte, 1);
-  }
-}
-
 using util::FdLineReader;
 using util::write_line;
-
-/// Every router fd is close-on-exec: the health thread forks shard
-/// children concurrently with accepts, and a child that inherits the
-/// front listener or a client socket keeps it alive past its owner.
-int connect_endpoint(const std::string& host, std::uint16_t port,
-                     std::chrono::milliseconds timeout) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
-  if (fd < 0) return -1;
-  if (timeout.count() > 0) {
-    timeval tv{};
-    tv.tv_sec = static_cast<time_t>(timeout.count() / 1000);
-    tv.tv_usec = static_cast<suseconds_t>((timeout.count() % 1000) * 1000);
-    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv);
-    ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof tv);
-  }
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(port);
-  if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
-    ::close(fd);
-    return -1;
-  }
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0) {
-    if (errno != EINTR) {
-      ::close(fd);
-      return -1;
-    }
-    // A blocking connect interrupted by a signal keeps completing in the
-    // background; retrying connect() would yield EALREADY. Wait for
-    // writability and read the real outcome from SO_ERROR.
-    pollfd probe{fd, POLLOUT, 0};
-    for (;;) {
-      const int ready = ::poll(
-          &probe, 1,
-          timeout.count() > 0 ? static_cast<int>(timeout.count()) : -1);
-      if (ready > 0) break;
-      if (ready < 0 && errno == EINTR) continue;
-      ::close(fd);
-      return -1;
-    }
-    int error = 0;
-    socklen_t error_len = sizeof error;
-    if (::getsockopt(fd, SOL_SOCKET, SO_ERROR, &error, &error_len) != 0 ||
-        error != 0) {
-      ::close(fd);
-      return -1;
-    }
-  }
-  return fd;
-}
 
 /// The "type" of a server response line. Every server-written line starts
 /// with `{"type":"..."` (FlatJsonWriter field order), so a prefix scan is
@@ -117,29 +44,6 @@ std::string response_type(const std::string& line) {
   const std::size_t end = line.find('"', kPrefixLen);
   if (end == std::string::npos) return {};
   return line.substr(kPrefixLen, end - kPrefixLen);
-}
-
-enum class ClientProbe { Idle, Gone, Busy };
-
-/// One non-blocking look at the client connection while its response is
-/// pending elsewhere — the server's await_with_watch probe, shared
-/// semantics: orderly EOF or reset = Gone, pipelined input = Busy
-/// (demonstrably alive; stop probing, the bytes are a request).
-ClientProbe probe_client(int fd) {
-  pollfd probe{fd, static_cast<short>(POLLIN | kHupEvents), 0};
-  if (::poll(&probe, 1, 0) <= 0) return ClientProbe::Idle;
-  if (probe.revents & POLLIN) {
-    char byte;
-    const ssize_t n = ::recv(fd, &byte, 1, MSG_PEEK | MSG_DONTWAIT);
-    if (n == 0) return ClientProbe::Gone;
-    if (n > 0) return ClientProbe::Busy;
-    if (errno != EAGAIN && errno != EWOULDBLOCK && errno != EINTR) {
-      return ClientProbe::Gone;
-    }
-    return ClientProbe::Idle;
-  }
-  if (probe.revents & kHupEvents) return ClientProbe::Gone;
-  return ClientProbe::Idle;
 }
 
 std::size_t line_hash(const std::string& text) {
@@ -203,19 +107,12 @@ Router::Router(RouterOptions options)
   if (!options_.trace_log.empty()) {
     trace_log_ = std::make_unique<obs::TraceLog>(options_.trace_log);
   }
-  if (::pipe2(wake_pipe_, O_CLOEXEC) != 0) {
-    throw std::runtime_error("pipeopt-router: cannot create wake pipe");
-  }
 }
 
 Router::~Router() {
   shutdown();
-  reap_sessions(/*all=*/true);
   stop_health_thread();
   terminate_children();
-  if (listen_fd_ >= 0) ::close(listen_fd_);
-  ::close(wake_pipe_[0]);
-  ::close(wake_pipe_[1]);
 }
 
 std::size_t Router::shard_count() const noexcept { return shards_.size(); }
@@ -248,35 +145,8 @@ std::uint64_t Router::down_transitions() const {
 }
 
 std::uint16_t Router::listen() {
-  if (listen_fd_ >= 0) return port_;
-  const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
-  if (fd < 0) throw std::runtime_error("pipeopt-router: socket() failed");
-  const int one = 1;
-  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
-
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(options_.port);
-  if (::inet_pton(AF_INET, options_.host.c_str(), &addr.sin_addr) != 1) {
-    ::close(fd);
-    throw std::runtime_error("pipeopt-router: bad listen address '" +
-                             options_.host + "'");
-  }
-  if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0 ||
-      ::listen(fd, options_.backlog) != 0) {
-    const std::string reason = std::strerror(errno);
-    ::close(fd);
-    throw std::runtime_error("pipeopt-router: cannot listen on " +
-                             options_.host + ":" +
-                             std::to_string(options_.port) + ": " + reason);
-  }
-  socklen_t len = sizeof addr;
-  if (::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len) != 0) {
-    ::close(fd);
-    throw std::runtime_error("pipeopt-router: getsockname() failed");
-  }
-  port_ = ntohs(addr.sin_port);
-  listen_fd_ = fd;
+  if (listener_.bound()) return listener_.port();
+  listener_.bind(options_.host, options_.port);
 
   // Spawn before serving: a front tier with no backend would shed every
   // request of its first clients for one health interval.
@@ -284,94 +154,29 @@ std::uint16_t Router::listen() {
     for (std::size_t i = 0; i < shards_.size(); ++i) spawn_shard(i);
   }
   health_thread_ = std::thread([this] { health_loop(); });
-  return port_;
+  return listener_.port();
 }
 
 void Router::serve() {
   listen();
-  while (!stopping_.load(std::memory_order_relaxed)) {
-    pollfd fds[2] = {{listen_fd_, POLLIN, 0}, {wake_pipe_[0], POLLIN, 0}};
-    const int ready = ::poll(fds, 2, -1);
-    if (ready < 0) {
-      if (errno == EINTR) continue;
-      break;
-    }
-    if (fds[1].revents != 0) break;  // shutdown() or a signal woke us
-    if ((fds[0].revents & POLLIN) == 0) continue;
-    const int client = ::accept4(listen_fd_, nullptr, nullptr, SOCK_CLOEXEC);
-    if (client < 0) continue;
-    if (fault_ && fault_->accept_should_close()) {
-      // Injected accept-then-close: the client sees its connection die
-      // before a byte moves, so a retry is always safe.
-      ::close(client);
-      continue;
-    }
-    auto session = std::make_unique<Session>();
-    Session* raw = session.get();
-    raw->fd = client;
-    raw->conns.resize(shards_.size());
-    raw->thread = std::thread([this, raw] { session_loop(raw); });
-    {
-      const std::lock_guard<std::mutex> lock(sessions_mutex_);
-      sessions_.push_back(std::move(session));
-    }
-    reap_sessions(/*all=*/false);
-  }
-  // Drain in dependency order: refuse new connections, half-close the
-  // sessions so no further requests are read, let the in-flight forwards
-  // finish and flush — and only then take the shard fleet down, so every
-  // accepted request that can complete does.
-  stopping_.store(true, std::memory_order_relaxed);
-  if (listen_fd_ >= 0) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-  }
-  {
-    const std::lock_guard<std::mutex> lock(sessions_mutex_);
-    for (const auto& session : sessions_) {
-      if (session->fd >= 0) ::shutdown(session->fd, SHUT_RD);
-    }
-  }
-  reap_sessions(/*all=*/true);
+  // Drain in dependency order: the listener refuses new connections,
+  // half-closes the sessions so no further requests are read and lets the
+  // in-flight forwards finish and flush — and only then does the shard
+  // fleet go down, so every accepted request that can complete does.
+  listener_.run([this](int fd) { session_loop(fd); }, fault_.get());
   stop_health_thread();
   terminate_children();
 }
 
-void Router::shutdown() {
-  stopping_.store(true, std::memory_order_relaxed);
-  const char byte = 1;
-  [[maybe_unused]] const ssize_t n = ::write(wake_pipe_[1], &byte, 1);
-}
+void Router::shutdown() { listener_.stop(); }
 
 void Router::install_signal_handlers(Router& router) {
-  g_signal_wake_fd.store(router.wake_pipe_[1], std::memory_order_relaxed);
-  struct sigaction action{};
-  action.sa_handler = signal_to_pipe;
-  ::sigaction(SIGINT, &action, nullptr);
-  ::sigaction(SIGTERM, &action, nullptr);
-  ::signal(SIGPIPE, SIG_IGN);
+  router.listener_.route_signals();
 }
 
-void Router::reap_sessions(bool all) {
-  std::vector<std::unique_ptr<Session>> finished;
-  {
-    const std::lock_guard<std::mutex> lock(sessions_mutex_);
-    for (auto it = sessions_.begin(); it != sessions_.end();) {
-      if (all || (*it)->done.load(std::memory_order_acquire)) {
-        finished.push_back(std::move(*it));
-        it = sessions_.erase(it);
-      } else {
-        ++it;
-      }
-    }
-  }
-  for (const auto& session : finished) {
-    if (session->thread.joinable()) session->thread.join();
-  }
-}
-
-void Router::session_loop(Session* session) {
-  FdLineReader reader(session->fd, front_hooks_);
+void Router::session_loop(int fd) {
+  Session session{fd, std::vector<ShardConn>(shards_.size())};
+  FdLineReader reader(fd, front_hooks_);
   std::string line;
   while (reader.next_line(line)) {
     // A client stream that dies mid-line left a torn prefix, not a
@@ -379,27 +184,18 @@ void Router::session_loop(Session* session) {
     // client never finished sending).
     if (!reader.last_terminated()) break;
     if (line.empty() || line == "\r") continue;
-    if (handle_line(line, *session, reader.buffered()) == Relay::ClientGone) {
+    if (handle_line(line, session, reader.buffered()) == Relay::ClientGone) {
       break;
     }
-    if (stopping_.load(std::memory_order_relaxed)) break;
+    if (listener_.stopping()) break;
   }
+  if (reader.line_too_long()) send_front(fd, io::format_line_too_long());
   // Closing the shard connections first propagates the disconnect: a shard
   // still computing for this client sees its own session vanish and
   // cancels, exactly as if the client had connected to it directly.
-  for (ShardConn& conn : session->conns) {
-    if (conn.fd >= 0) {
-      ::close(conn.fd);
-      conn.fd = -1;
-      conn.reader.reset();
-    }
+  for (ShardConn& conn : session.conns) {
+    if (conn.fd >= 0) ::close(conn.fd);
   }
-  {
-    const std::lock_guard<std::mutex> lock(sessions_mutex_);
-    ::close(session->fd);
-    session->fd = -1;
-  }
-  session->done.store(true, std::memory_order_release);
 }
 
 Router::Relay Router::handle_line(const std::string& line, Session& session,
@@ -548,10 +344,10 @@ Router::Admit Router::acquire_slot(std::size_t key_hash,
     state_changed_.wait_for(lock, kSlotWaitInterval);
     if (watching) {
       lock.unlock();
-      const ClientProbe probe = probe_client(client_fd);
+      const net::Peer peer = net::probe_peer(client_fd);
       lock.lock();
-      if (probe == ClientProbe::Gone) return Admit::ClientGone;
-      if (probe == ClientProbe::Busy) watching = false;
+      if (peer == net::Peer::Gone) return Admit::ClientGone;
+      if (peer == net::Peer::Busy) watching = false;
     }
   }
 }
@@ -662,10 +458,10 @@ bool Router::ensure_conn(Session& session, std::size_t shard_index) {
   }
   if (port == 0) return false;  // spawn pending: no endpoint yet
   if (fault_ && fault_->connect_should_refuse()) return false;
-  const int fd = connect_endpoint(host, port, std::chrono::milliseconds(0));
+  const int fd = net::connect(host, port);
   if (fd < 0) return false;
   conn.fd = fd;
-  conn.reader = std::make_unique<FdLineReader>(fd, relay_hooks_);
+  conn.reader = FdLineReader(fd, relay_hooks_);
   return true;
 }
 
@@ -761,7 +557,6 @@ Router::Relay Router::forward_line(const std::string& line,
       ShardConn& conn = session.conns[shard];
       if (conn.fd >= 0) ::close(conn.fd);
       conn.fd = -1;
-      conn.reader.reset();
     };
     if (!ensure_conn(session, shard)) {
       release_slot(shard);
@@ -783,29 +578,29 @@ Router::Relay Router::forward_line(const std::string& line,
       // meanwhile: a vanished client gets its shard connection closed,
       // which cancels the in-flight work shard-side.
       for (;;) {
-        if (conn.reader->buffered()) break;
-        pollfd probe{conn.fd, static_cast<short>(POLLIN | kHupEvents), 0};
+        if (conn.reader.buffered()) break;
+        pollfd probe{conn.fd, POLLIN, 0};
         const int ready =
             ::poll(&probe, 1, static_cast<int>(kWatchInterval.count()));
         if (ready > 0) break;
         if (ready < 0 && errno != EINTR) break;
         if (watching) {
-          switch (probe_client(session.fd)) {
-            case ClientProbe::Gone:
+          switch (net::probe_peer(session.fd)) {
+            case net::Peer::Gone:
               drop_conn();
               release_slot(shard);
               return Relay::ClientGone;
-            case ClientProbe::Busy:
+            case net::Peer::Busy:
               watching = false;
               break;
-            case ClientProbe::Idle:
+            case net::Peer::Idle:
               break;
           }
         }
       }
-      if (!conn.reader->next_line(response) || !conn.reader->last_terminated()) {
-        // EOF, or a torn line: a response fragment must never reach the
-        // client as if it were a complete wire message.
+      if (!conn.reader.next_line(response) || !conn.reader.last_terminated()) {
+        // EOF, a torn line, or one over util::kMaxLineBytes: a response
+        // fragment must never reach the client as a complete wire message.
         shard_dead = true;
         break;
       }
@@ -882,7 +677,7 @@ void Router::answer_metrics(const std::string& id, int out_fd) {
   std::vector<obs::MetricFields> snapshots;
   snapshots.push_back(metrics_.snapshot());
   for (const auto& [host, port] : endpoints) {
-    const int fd = connect_endpoint(host, port, options_.probe_timeout);
+    const int fd = net::connect(host, port, options_.probe_timeout);
     if (fd < 0) continue;
     if (write_line(fd, "{\"type\":\"metrics\"}")) {
       FdLineReader reader(fd);
@@ -960,7 +755,7 @@ void Router::answer_stats(const std::string& id, int out_fd) {
   }
   std::vector<std::string> lines;
   for (const auto& [host, port] : endpoints) {
-    const int fd = connect_endpoint(host, port, options_.probe_timeout);
+    const int fd = net::connect(host, port, options_.probe_timeout);
     if (fd < 0) continue;
     if (write_line(fd, "{\"type\":\"stats\"}")) {
       FdLineReader reader(fd);
@@ -1072,7 +867,7 @@ void Router::check_shards() {
     // (un-hooked) IO on purpose: fault campaigns stay deterministic per
     // request stream, and breaker state reflects the shard, not the shim.
     bool alive = false;
-    const int fd = connect_endpoint(host, port, options_.probe_timeout);
+    const int fd = net::connect(host, port, options_.probe_timeout);
     if (fd >= 0) {
       if (write_line(fd, "{\"type\":\"health\"}")) {
         FdLineReader reader(fd);
@@ -1132,47 +927,36 @@ void Router::spawn_shard(std::size_t shard_index) {
 
   // Parent: wait for "pipeopt-server listening on H:P" on the child's
   // stdout, bounded by kSpawnDeadline (a child that dies first closes the
-  // pipe and fails the parse immediately).
+  // pipe and fails the parse immediately). Reads that would outlast the
+  // deadline end the stream instead.
   const auto deadline = std::chrono::steady_clock::now() + kSpawnDeadline;
-  std::string buffered;
+  util::IoHooks bounded;
+  bounded.read = [deadline](int fd, void* buf, std::size_t len) -> ssize_t {
+    const auto remaining =
+        std::chrono::duration_cast<std::chrono::milliseconds>(
+            deadline - std::chrono::steady_clock::now());
+    pollfd probe{fd, POLLIN, 0};
+    const int ready =
+        remaining.count() > 0
+            ? ::poll(&probe, 1, static_cast<int>(remaining.count()))
+            : 0;
+    if (ready <= 0) return ready;  // -1/EINTR retries, 0 is the deadline
+    return ::read(fd, buf, len);
+  };
+  FdLineReader reader(announce[0], &bounded);
+  std::string line;
   std::uint16_t port = 0;
   bool announced = false;
-  while (!announced) {
-    const auto remaining = std::chrono::duration_cast<std::chrono::milliseconds>(
-        deadline - std::chrono::steady_clock::now());
-    if (remaining.count() <= 0) break;
-    pollfd probe{announce[0], POLLIN, 0};
-    const int ready = ::poll(&probe, 1, static_cast<int>(remaining.count()));
-    if (ready <= 0) {
-      if (ready < 0 && errno == EINTR) continue;
-      break;
+  while (!announced && reader.next_line(line) && reader.last_terminated()) {
+    const std::size_t colon = line.rfind(':');
+    if (line.find(" listening on ") == std::string::npos ||
+        colon == std::string::npos) {
+      continue;
     }
-    char chunk[256];
-    const ssize_t n = ::read(announce[0], chunk, sizeof chunk);
-    if (n < 0 && errno == EINTR) continue;  // interrupted, not EOF
-    if (n <= 0) break;  // EOF: the child died before announcing
-    buffered.append(chunk, static_cast<std::size_t>(n));
-    std::size_t newline;
-    while (!announced && (newline = buffered.find('\n')) != std::string::npos) {
-      const std::string line = buffered.substr(0, newline);
-      buffered.erase(0, newline + 1);
-      constexpr const char kMarker[] = " listening on ";
-      const std::size_t at = line.find(kMarker);
-      const std::size_t colon = line.rfind(':');
-      if (at == std::string::npos || colon == std::string::npos) continue;
-      unsigned long value = 0;
-      bool numeric = colon + 1 < line.size();
-      for (std::size_t j = colon + 1; j < line.size(); ++j) {
-        if (line[j] < '0' || line[j] > '9') {
-          numeric = false;
-          break;
-        }
-        value = value * 10 + static_cast<unsigned long>(line[j] - '0');
-      }
-      if (!numeric || value == 0 || value > 65535) continue;
-      port = static_cast<std::uint16_t>(value);
-      announced = true;
-    }
+    const char* last = line.data() + line.size();
+    const auto [end, error] =
+        std::from_chars(line.data() + colon + 1, last, port);
+    announced = error == std::errc{} && end == last && port != 0;
   }
   if (!announced) {
     ::close(announce[0]);

@@ -99,6 +99,7 @@
 
 #include "io/json.hpp"
 #include "net/fault.hpp"
+#include "net/socket.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/fdio.hpp"
@@ -138,8 +139,6 @@ struct RouterOptions {
   /// Socket send/receive timeout on health probes: a wedged shard must
   /// fail the probe, not hang the probe loop.
   std::chrono::milliseconds probe_timeout{2000};
-  /// listen(2) backlog of the front tier.
-  int backlog = 128;
   /// Span-log path of the router itself (`route --trace-log FILE`); empty
   /// = tracing off. When set, every forwarded solve/pareto request appends
   /// one JSONL line (its `relay` span plus the shard index), and the
@@ -223,10 +222,10 @@ class Router {
   void shutdown();
 
   /// Routes SIGINT/SIGTERM to `shutdown()` (one router per process; the
-  /// last call wins) and ignores SIGPIPE.
+  /// last call wins).
   static void install_signal_handlers(Router& router);
 
-  [[nodiscard]] std::uint16_t port() const noexcept { return port_; }
+  [[nodiscard]] std::uint16_t port() const noexcept { return listener_.port(); }
   [[nodiscard]] std::size_t shard_count() const noexcept;
   [[nodiscard]] std::vector<ShardInfo> shard_infos() const;
 
@@ -279,14 +278,12 @@ class Router {
   /// buffer across requests).
   struct ShardConn {
     int fd = -1;
-    std::unique_ptr<util::FdLineReader> reader;
+    util::FdLineReader reader{-1};
   };
 
-  /// One client connection's state.
+  /// One client connection's state, on its session thread's stack.
   struct Session {
     int fd = -1;
-    std::atomic<bool> done{false};
-    std::thread thread;
     std::vector<ShardConn> conns;  ///< one slot per shard, lazily opened
   };
 
@@ -294,7 +291,7 @@ class Router {
                      Exhausted };
   enum class Relay { Done, ClientGone };
 
-  void session_loop(Session* session);
+  void session_loop(int fd);
   /// Handles one client line: router-level answers or `forward_line`.
   Relay handle_line(const std::string& line, Session& session,
                     bool input_buffered);
@@ -343,14 +340,9 @@ class Router {
   void spawn_shard(std::size_t shard_index);
   void stop_health_thread();
   void terminate_children();
-  void reap_sessions(bool all);
 
   RouterOptions options_;
   std::chrono::steady_clock::time_point started_;
-  std::uint16_t port_ = 0;
-  int listen_fd_ = -1;
-  int wake_pipe_[2] = {-1, -1};
-  std::atomic<bool> stopping_{false};
 
   std::vector<std::unique_ptr<Shard>> shards_;
   mutable std::mutex state_mutex_;
@@ -360,9 +352,6 @@ class Router {
   std::mutex health_mutex_;
   std::condition_variable health_wake_;
   bool health_stop_ = false;
-
-  std::mutex sessions_mutex_;
-  std::vector<std::unique_ptr<Session>> sessions_;
 
   obs::MetricsRegistry metrics_;
   std::unique_ptr<obs::TraceLog> trace_log_;  ///< null = tracing off
@@ -376,6 +365,10 @@ class Router {
   std::atomic<std::uint64_t> retries_{0};
   std::atomic<std::uint64_t> restarts_{0};
   std::atomic<std::uint64_t> shard_lost_errors_{0};
+
+  /// Declared last, so it is destroyed first: no session outlives the
+  /// members it routes with.
+  net::Listener listener_{"pipeopt-router"};
 };
 
 }  // namespace pipeopt::router

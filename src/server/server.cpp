@@ -1,15 +1,8 @@
 #include "server/server.hpp"
 
-#include <arpa/inet.h>
-#include <csignal>
-#include <cstring>
-#include <netinet/in.h>
-#include <poll.h>
-#include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
 #include <cstdlib>
 #include <future>
@@ -30,25 +23,6 @@ namespace {
 
 /// How often an in-flight solve's session polls for client disconnect.
 constexpr auto kWatchInterval = std::chrono::milliseconds(10);
-
-#ifdef POLLRDHUP
-constexpr short kHupEvents = POLLRDHUP | POLLHUP | POLLERR;
-#else
-constexpr short kHupEvents = POLLHUP | POLLERR;
-#endif
-
-/// The signal-handler target of install_signal_handlers: handlers may only
-/// touch async-signal-safe state, so they write one byte into the server's
-/// wake pipe and let the poll loop do the actual shutdown.
-std::atomic<int> g_signal_wake_fd{-1};
-
-void signal_to_pipe(int) {
-  const int fd = g_signal_wake_fd.load(std::memory_order_relaxed);
-  if (fd >= 0) {
-    const char byte = 1;
-    [[maybe_unused]] const ssize_t n = ::write(fd, &byte, 1);
-  }
-}
 
 using util::FdLineReader;
 using util::write_line;
@@ -97,142 +71,34 @@ Server::Server(ServerOptions options)
     fault_ = std::make_unique<net::FaultInjector>(*spec);
     session_hooks_ = &fault_->front_io();
   }
-  if (::pipe(wake_pipe_) != 0) {
-    throw std::runtime_error("pipeopt-server: cannot create wake pipe");
-  }
-}
-
-Server::~Server() {
-  shutdown();
-  reap_sessions(/*all=*/true);
-  if (listen_fd_ >= 0) ::close(listen_fd_);
-  ::close(wake_pipe_[0]);
-  ::close(wake_pipe_[1]);
 }
 
 std::uint16_t Server::listen() {
-  if (listen_fd_ >= 0) return port_;
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) throw std::runtime_error("pipeopt-server: socket() failed");
-  const int one = 1;
-  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
-
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(options_.port);
-  if (::inet_pton(AF_INET, options_.host.c_str(), &addr.sin_addr) != 1) {
-    ::close(fd);
-    throw std::runtime_error("pipeopt-server: bad listen address '" +
-                             options_.host + "'");
-  }
-  if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0 ||
-      ::listen(fd, options_.backlog) != 0) {
-    const std::string reason = std::strerror(errno);
-    ::close(fd);
-    throw std::runtime_error("pipeopt-server: cannot listen on " +
-                             options_.host + ":" +
-                             std::to_string(options_.port) + ": " + reason);
-  }
-  socklen_t len = sizeof addr;
-  if (::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len) != 0) {
-    ::close(fd);
-    throw std::runtime_error("pipeopt-server: getsockname() failed");
-  }
-  port_ = ntohs(addr.sin_port);
-  listen_fd_ = fd;
-  return port_;
+  return listener_.bind(options_.host, options_.port);
 }
 
 void Server::serve() {
   listen();
-  while (!stopping_.load(std::memory_order_relaxed)) {
-    pollfd fds[2] = {{listen_fd_, POLLIN, 0}, {wake_pipe_[0], POLLIN, 0}};
-    const int ready = ::poll(fds, 2, -1);
-    if (ready < 0) {
-      if (errno == EINTR) continue;
-      break;
-    }
-    if (fds[1].revents != 0) break;  // shutdown() or a signal woke us
-    if ((fds[0].revents & POLLIN) == 0) continue;
-    const int client = ::accept(listen_fd_, nullptr, nullptr);
-    if (client < 0) continue;
-    if (fault_ && fault_->accept_should_close()) {
-      // Injected accept-then-close: the peer sees its connection die
-      // before a byte moves — the request provably never executed, so a
-      // retrying client is always safe.
-      ::close(client);
-      continue;
-    }
-    stats_.record_connection();
-    auto session = std::make_unique<Session>();
-    Session* raw = session.get();
-    raw->fd = client;
-    raw->thread = std::thread([this, client, raw] {
-      session_loop(client, client, /*is_socket=*/true, raw);
-    });
-    {
-      const std::lock_guard<std::mutex> lock(sessions_mutex_);
-      sessions_.push_back(std::move(session));
-    }
-    reap_sessions(/*all=*/false);
-  }
-  // Drain: close the listener so late connects are refused instead of
-  // parked in the backlog, half-close every session so its next read sees
-  // EOF, then wait for the in-flight responses to flush.
-  stopping_.store(true, std::memory_order_relaxed);
-  if (listen_fd_ >= 0) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-  }
-  {
-    const std::lock_guard<std::mutex> lock(sessions_mutex_);
-    for (const auto& session : sessions_) {
-      if (session->fd >= 0) ::shutdown(session->fd, SHUT_RD);
-    }
-  }
-  reap_sessions(/*all=*/true);
+  listener_.run(
+      [this](int fd) {
+        stats_.record_connection();
+        session_loop(fd, fd, /*is_socket=*/true);
+      },
+      fault_.get());
 }
 
 void Server::serve_stream(int in_fd, int out_fd) {
   stats_.record_connection();
-  session_loop(in_fd, out_fd, /*is_socket=*/false, nullptr);
+  session_loop(in_fd, out_fd, /*is_socket=*/false);
 }
 
-void Server::shutdown() {
-  stopping_.store(true, std::memory_order_relaxed);
-  const char byte = 1;
-  [[maybe_unused]] const ssize_t n = ::write(wake_pipe_[1], &byte, 1);
-}
+void Server::shutdown() { listener_.stop(); }
 
 void Server::install_signal_handlers(Server& server) {
-  g_signal_wake_fd.store(server.wake_pipe_[1], std::memory_order_relaxed);
-  struct sigaction action{};
-  action.sa_handler = signal_to_pipe;
-  ::sigaction(SIGINT, &action, nullptr);
-  ::sigaction(SIGTERM, &action, nullptr);
-  ::signal(SIGPIPE, SIG_IGN);
+  server.listener_.route_signals();
 }
 
-void Server::reap_sessions(bool all) {
-  std::vector<std::unique_ptr<Session>> finished;
-  {
-    const std::lock_guard<std::mutex> lock(sessions_mutex_);
-    for (auto it = sessions_.begin(); it != sessions_.end();) {
-      if (all || (*it)->done.load(std::memory_order_acquire)) {
-        finished.push_back(std::move(*it));
-        it = sessions_.erase(it);
-      } else {
-        ++it;
-      }
-    }
-  }
-  for (const auto& session : finished) {
-    if (session->thread.joinable()) session->thread.join();
-  }
-}
-
-void Server::session_loop(int in_fd, int out_fd, bool is_socket,
-                          Session* session) {
+void Server::session_loop(int in_fd, int out_fd, bool is_socket) {
   FdLineReader reader(in_fd, session_hooks_);
   std::string line;
   while (reader.next_line(line)) {
@@ -242,17 +108,11 @@ void Server::session_loop(int in_fd, int out_fd, bool is_socket,
     if (is_socket && !reader.last_terminated()) break;
     if (line.empty() || line == "\r") continue;
     handle_line(line, out_fd, in_fd, is_socket, reader.buffered());
-    if (stopping_.load(std::memory_order_relaxed) && is_socket) break;
+    if (listener_.stopping() && is_socket) break;
   }
-  if (session != nullptr) {
-    // The drain path half-closes fds it reads under the same lock, so the
-    // close (and the -1 that retires the fd) must not race with it.
-    {
-      const std::lock_guard<std::mutex> lock(sessions_mutex_);
-      ::close(session->fd);
-      session->fd = -1;
-    }
-    session->done.store(true, std::memory_order_release);
+  if (reader.line_too_long()) {
+    stats_.record_error();
+    send_line(out_fd, io::format_line_too_long());
   }
 }
 
@@ -468,28 +328,15 @@ bool Server::await_with_watch(
   bool cancelled_by_disconnect = false;
   for (;;) {
     if (ready(kWatchInterval)) return cancelled_by_disconnect;
-    if (!watching || cancelled_by_disconnect ||
-        stopping_.load(std::memory_order_relaxed)) {
+    if (!watching || cancelled_by_disconnect || listener_.stopping()) {
       continue;  // graceful drain: let the work finish, never cancel it
     }
-    pollfd probe{watch_fd, static_cast<short>(POLLIN | kHupEvents), 0};
-    if (::poll(&probe, 1, 0) <= 0) continue;
-    bool gone = false;
-    if (probe.revents & POLLIN) {
-      char byte;
-      const ssize_t n = ::recv(watch_fd, &byte, 1, MSG_PEEK | MSG_DONTWAIT);
-      if (n == 0) {
-        gone = true;  // orderly EOF: the client hung up on its response
-      } else if (n > 0) {
-        watching = false;  // a pipelined request arrived: alive
-        continue;
-      } else if (errno != EAGAIN && errno != EWOULDBLOCK && errno != EINTR) {
-        gone = true;  // reset under us
-      }
-    } else if (probe.revents & kHupEvents) {
-      gone = true;
+    const net::Peer peer = net::probe_peer(watch_fd);
+    if (peer == net::Peer::Busy) {
+      watching = false;  // a pipelined request arrived: alive
+      continue;
     }
-    if (gone && !stopping_.load(std::memory_order_relaxed)) {
+    if (peer == net::Peer::Gone && !listener_.stopping()) {
       source.request_cancel();
       cancelled_by_disconnect = true;
       stats_.record_disconnect_cancel();

@@ -56,18 +56,15 @@
 /// responses flush, then `serve()` returns — the executor pool drains, no
 /// future is abandoned.
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <thread>
-#include <vector>
 
 #include "api/executor.hpp"
 #include "net/fault.hpp"
+#include "net/socket.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "server/stats.hpp"
@@ -89,10 +86,6 @@ struct ServerOptions {
   /// `{"type":"stats"}` response grows `cache_hits` / `cache_misses` /
   /// `cache_evictions` / `cache_entries` counters.
   std::size_t cache_entries = 0;
-  /// listen(2) backlog. The historical 64 suits direct clients; a router
-  /// front tier multiplies connection bursts onto each shard, so the
-  /// fan-in side raises it (`serve --backlog N`).
-  int backlog = 64;
   /// Span-log path (`serve --trace-log FILE`); empty = tracing off. When
   /// set, every completed solve/pareto request appends one JSONL line with
   /// its trace id and phase breakdown (obs/trace.hpp). Response bytes are
@@ -109,8 +102,6 @@ struct ServerOptions {
 class Server {
  public:
   explicit Server(ServerOptions options = {});
-  /// Joins the accept loop if still running (via shutdown) and the pool.
-  ~Server();
 
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
@@ -135,11 +126,12 @@ class Server {
   void shutdown();
 
   /// Routes SIGINT/SIGTERM to this server's `shutdown()` (one server per
-  /// process; the last call wins). Also ignores SIGPIPE, so a client that
-  /// vanishes mid-response surfaces as a write error, not a process kill.
+  /// process; the last call wins). SIGPIPE is already ignored
+  /// (net/socket.hpp), so a client that vanishes mid-response surfaces as
+  /// a write error.
   static void install_signal_handlers(Server& server);
 
-  [[nodiscard]] std::uint16_t port() const noexcept { return port_; }
+  [[nodiscard]] std::uint16_t port() const noexcept { return listener_.port(); }
   [[nodiscard]] const ServerStats& stats() const noexcept { return stats_; }
   [[nodiscard]] api::Executor& executor() noexcept { return executor_; }
   /// The server's metric registry — what `{"type":"metrics"}` snapshots.
@@ -151,15 +143,9 @@ class Server {
   }
 
  private:
-  struct Session {
-    int fd = -1;
-    std::atomic<bool> done{false};
-    std::thread thread;
-  };
-
   /// One connection's read-dispatch-respond loop. `is_socket` enables the
   /// disconnect watch (TCP sessions only; see the file comment).
-  void session_loop(int in_fd, int out_fd, bool is_socket, Session* session);
+  void session_loop(int in_fd, int out_fd, bool is_socket);
 
   /// Handles one request line. Every request type answers with exactly one
   /// response line except `pareto`, which streams one line per front point
@@ -175,9 +161,6 @@ class Server {
   bool await_with_watch(
       const std::function<bool(std::chrono::milliseconds)>& ready,
       util::CancelSource& source, int watch_fd, bool watching);
-
-  /// Joins sessions that have finished (`done` set); `all` joins the rest.
-  void reap_sessions(bool all);
 
   /// Records one finished solve into the metric registry: the per-solver
   /// latency histogram (`solver.<name>.latency`, from the result's solve
@@ -197,12 +180,9 @@ class Server {
   const util::IoHooks* session_hooks_ = nullptr;  ///< fault_'s front_io()
   /// Construction time — the zero point of the health response's uptime.
   std::chrono::steady_clock::time_point started_;
-  std::uint16_t port_ = 0;
-  int listen_fd_ = -1;
-  int wake_pipe_[2] = {-1, -1};  ///< shutdown/signal wakeup for the poll loop
-  std::atomic<bool> stopping_{false};
-  std::mutex sessions_mutex_;
-  std::vector<std::unique_ptr<Session>> sessions_;
+  /// Declared last, so it is destroyed first: no session outlives the
+  /// members it serves with.
+  net::Listener listener_{"pipeopt-server"};
 };
 
 }  // namespace pipeopt::server

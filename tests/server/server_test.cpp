@@ -204,21 +204,6 @@ TEST(Server, HealthAnswersPidUptimeAndInFlightInline) {
   ASSERT_TRUE(client.recv_line().has_value());  // drain the needle result
 }
 
-TEST(Server, BacklogOptionIsHonoredAndServesNormally) {
-  // ServerOptions::backlog feeds listen(2); a minimal queue must still
-  // accept and serve sequential connections (semantics, not saturation —
-  // the kernel rounds the value, so only behavior is assertable).
-  TestServer harness(ServerOptions{.jobs = 1, .backlog = 1});
-  for (int i = 0; i < 3; ++i) {
-    WireClient client(harness.port());
-    ASSERT_TRUE(client.connected());
-    client.send_line(R"({"type":"ping"})");
-    const auto response = client.recv_line();
-    ASSERT_TRUE(response.has_value());
-    EXPECT_EQ(*response, R"({"type":"pong"})");
-  }
-}
-
 TEST(Server, CacheEnabledServerRepliesByteIdenticallyOnReplay) {
   // serve --cache-entries: the same request stream replayed against a
   // cache-enabled server must produce the byte-identical response stream —

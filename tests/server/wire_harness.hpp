@@ -7,13 +7,10 @@
 
 #pragma once
 
-#include <arpa/inet.h>
 #include <gtest/gtest.h>
-#include <netinet/in.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <csignal>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -24,6 +21,7 @@
 #include "api/registry.hpp"
 #include "gen/random_instances.hpp"
 #include "io/result_io.hpp"
+#include "net/socket.hpp"
 #include "server/server.hpp"
 #include "tests/support/grid_fixtures.hpp"
 #include "util/fdio.hpp"
@@ -41,7 +39,6 @@ class TestServer {
 
   explicit TestServer(server::ServerOptions options)
       : server_(std::move(options)) {
-    ::signal(SIGPIPE, SIG_IGN);  // a test client may vanish mid-response
     port_ = server_.listen();
     thread_ = std::thread([this] { server_.serve(); });
   }
@@ -68,7 +65,8 @@ class TestServer {
 /// Minimal blocking JSONL client.
 class WireClient {
  public:
-  explicit WireClient(std::uint16_t port) : fd_(connect_fd(port)), reader_(fd_) {
+  explicit WireClient(std::uint16_t port)
+      : fd_(net::connect("127.0.0.1", port)), reader_(fd_) {
     connected_ = fd_ >= 0;
     timeval timeout{30, 0};  // a hung server fails the test, not the suite
     ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof timeout);
@@ -95,19 +93,6 @@ class WireClient {
   }
 
  private:
-  static int connect_fd(std::uint16_t port) {
-    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(port);
-    ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-    if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0) {
-      ::close(fd);
-      return -1;
-    }
-    return fd;
-  }
-
   int fd_ = -1;
   bool connected_ = false;
   util::FdLineReader reader_;

@@ -23,8 +23,9 @@
 # baseline, replayable under the same seed, plus a SIGKILL breaker pass
 # asserting the transition counters and breaker_state gauges), then a
 # ThreadSanitizer pass over the threaded executor/plan/sweep/server/cache/
-# router/obs/resilience subsystems plus the wire fuzz, then an ASan/UBSan
-# pass over the fuzz suites and the MIP engine.
+# router/obs/resilience/net subsystems plus the wire fuzz, then an
+# ASan/UBSan pass over the fuzz suites, the MIP engine and every suite that
+# drives the socket layer (src/net/).
 #
 # The ctest suite runs staged by label (tier1, then the exact-backend
 # crosscheck harness, then the fuzz slices), followed by a CLI-level
@@ -529,8 +530,8 @@ echo "ci: chaos smoke green (faulted campaign byte-identical and seed-replayable
 
 # ThreadSanitizer build of the executor, plan, cancellation, server and
 # router tests — the code that actually runs worker pools, session threads
-# and the router's relay/health threads, plus the striped metric
-# registries and trace contexts they now record into.
+# (net::Listener) and the router's relay/health threads, plus the striped
+# metric registries and trace contexts they now record into.
 # Skipped (loudly) when the toolchain has no libtsan; everything above has
 # already gated the merge. The probe uses the same compiler CMake will
 # ($CXX when set), so probe and build cannot disagree.
@@ -539,7 +540,7 @@ if echo 'int main(){}' | "${CXX:-c++}" -fsanitize=thread -x c++ - -o "${TMPDIR:-
   cmake -B "$BUILD_DIR-tsan" -S . -DPIPEOPT_WERROR=ON -DPIPEOPT_TSAN=ON
   cmake --build "$BUILD_DIR-tsan" -j "$(nproc)" --target pipeopt_tests
   "$BUILD_DIR-tsan/pipeopt_tests" \
-      --gtest_filter='Executor.*:Plan.*:DispatchPlan.*:Server.*:Deadline.*:Cancel.*:Sweep.*:Cache.*:Router.*:StatsMerge.*:EvalBatch.*:*/EvalBatch.*:Obs.*:Metrics.*:*WireFuzz*:Chaos.*:Retry.*:Fault.*'
+      --gtest_filter='Executor.*:Plan.*:DispatchPlan.*:Server.*:Deadline.*:Cancel.*:Sweep.*:Cache.*:Router.*:StatsMerge.*:EvalBatch.*:*/EvalBatch.*:Obs.*:Metrics.*:*WireFuzz*:Chaos.*:Retry.*:Fault.*:Net.*:LineCap.*:FdLineReader.*'
 else
   echo "ci: ThreadSanitizer unavailable, skipping the tsan pass" >&2
 fi
@@ -547,14 +548,16 @@ fi
 # Address+UB sanitizer pass over the fuzz surfaces: the wire-protocol
 # robustness fuzz (truncations, byte mutations, duplicate/unknown fields)
 # and the solver-property fuzz, where a latent out-of-bounds or UB would
-# hide behind a benign-looking wrong answer. Probed like the tsan pass so
+# hide behind a benign-looking wrong answer — plus the server, router,
+# chaos and net suites, which drive all raw socket code (src/net/) and the
+# line reader's buffer arithmetic. Probed like the tsan pass so
 # a toolchain without libasan skips loudly instead of failing the merge.
 if echo 'int main(){}' | "${CXX:-c++}" -fsanitize=address,undefined -x c++ - -o "${TMPDIR:-/tmp}/pipeopt_asan_probe.$$" 2>/dev/null; then
   rm -f "${TMPDIR:-/tmp}/pipeopt_asan_probe.$$"
   cmake -B "$BUILD_DIR-asan" -S . -DPIPEOPT_WERROR=ON -DPIPEOPT_ASAN=ON
   cmake --build "$BUILD_DIR-asan" -j "$(nproc)" --target pipeopt_tests
   "$BUILD_DIR-asan/pipeopt_tests" \
-      --gtest_filter='*WireFuzz*:*PropertyFuzz*:*MappingFuzz*:MipLp.*:MipBackend.*'
+      --gtest_filter='*WireFuzz*:*PropertyFuzz*:*MappingFuzz*:MipLp.*:MipBackend.*:Server.*:Router.*:Chaos.*:Net.*:LineCap.*:FdLineReader.*'
 else
   echo "ci: Address/UB sanitizer unavailable, skipping the asan pass" >&2
 fi

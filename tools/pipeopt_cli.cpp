@@ -49,19 +49,17 @@
 /// Two commands take no problem file (they come first on the command line):
 ///
 ///   pipeopt serve [--host H] [--port N] [--jobs N] [--cache-entries N]
-///                 [--backlog N] [--stdio]
+///                 [--stdio]
 ///                                long-lived JSONL solve service over TCP
 ///                                (src/server/); --port 0 picks an
 ///                                ephemeral port, announced on stdout;
 ///                                --cache-entries N switches the solve
 ///                                cache on (repeat requests answer
-///                                byte-identically from it); --backlog N
-///                                sizes the listen(2) queue (raise it
-///                                behind a router); --stdio serves
-///                                stdin/stdout instead
+///                                byte-identically from it); --stdio
+///                                serves stdin/stdout instead
 ///   pipeopt route (--shards H:P,H:P,... | --spawn N) [--host H] [--port N]
 ///                 [--jobs N] [--cache-entries N] [--window N]
-///                 [--health-interval-ms MS] [--backlog N]
+///                 [--health-interval-ms MS]
 ///                                sharded front tier (src/router/): speaks
 ///                                the server protocol, routes each request
 ///                                to a shard by its canonical solve key
@@ -100,16 +98,11 @@
 /// only when every instance solved; the client aggregates its responses
 /// the same way (a server-side error line counts as 2).
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <poll.h>
-#include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -131,6 +124,7 @@
 #include "io/problem_io.hpp"
 #include "io/request_io.hpp"
 #include "io/result_io.hpp"
+#include "net/socket.hpp"
 #include "router/router.hpp"
 #include "server/server.hpp"
 #include "sim/simulator.hpp"
@@ -169,7 +163,7 @@ int usage() {
       "  min-energy T1,T2,...       alias: solve --objective energy\n"
       "  simulate <datasets>        execute the period-optimal mapping\n"
       "  serve [--host H] [--port N] [--jobs N] [--cache-entries N]\n"
-      "        [--backlog N] [--trace-log F] [--fault-spec S] [--stdio]\n"
+      "        [--trace-log F] [--fault-spec S] [--stdio]\n"
       "                             JSONL-over-TCP solve service (no\n"
       "                             problem file; --port 0 = ephemeral;\n"
       "                             --cache-entries N = solve cache on;\n"
@@ -178,7 +172,7 @@ int usage() {
       "                             fault injection, chaos testing only)\n"
       "  route (--shards H:P,... | --spawn N) [--host H] [--port N]\n"
       "        [--jobs N] [--cache-entries N] [--window N]\n"
-      "        [--health-interval-ms MS] [--backlog N] [--trace-log F]\n"
+      "        [--health-interval-ms MS] [--trace-log F]\n"
       "        [--shard-trace-log P] [--retries N] [--backoff-ms MS]\n"
       "        [--breaker-threshold N] [--breaker-cooldown-ms MS]\n"
       "        [--fault-spec S]\n"
@@ -590,10 +584,6 @@ int run_solve_batch(const std::string& manifest_path,
 
 /// `pipeopt serve`: the long-lived JSONL solve service (src/server/).
 int run_serve(const std::vector<std::string>& args) {
-  // Process-wide, before any socket exists: a peer that vanishes must
-  // surface as a write error on every path (sessions, announce pipe),
-  // never as a SIGPIPE kill.
-  std::signal(SIGPIPE, SIG_IGN);
   server::ServerOptions options;
   bool stdio = false;
   for (std::size_t i = 0; i < args.size(); ++i) {
@@ -601,7 +591,7 @@ int run_serve(const std::vector<std::string>& args) {
     if (flag == "--help") {
       std::fputs(
           "usage: pipeopt serve [--host H] [--port N] [--jobs N]\n"
-          "                     [--cache-entries N] [--backlog N]\n"
+          "                     [--cache-entries N]\n"
           "                     [--trace-log F] [--fault-spec S] [--stdio]\n"
           "JSONL-over-TCP solve service over the api::Executor pool.\n"
           "  --host H    listen address (default 127.0.0.1)\n"
@@ -613,8 +603,6 @@ int run_serve(const std::vector<std::string>& args) {
           "              (and replayed sweep grid points) answer from the\n"
           "              cache byte-identically; 0 = off (default). Stats\n"
           "              gain cache_hits/cache_misses/cache_evictions.\n"
-          "  --backlog N listen(2) queue depth (default 64; raise it when\n"
-          "              a router front tier multiplies connection bursts)\n"
           "  --trace-log F\n"
           "              append one JSONL span line per completed solve or\n"
           "              pareto request (trace id + per-phase breakdown);\n"
@@ -650,11 +638,6 @@ int run_serve(const std::vector<std::string>& args) {
       const auto entries = parse_number<std::size_t>(args[++i]);
       if (!entries) return usage();
       options.cache_entries = *entries;
-    } else if (flag == "--backlog") {
-      if (i + 1 >= args.size()) return usage();
-      const auto backlog = parse_number<int>(args[++i]);
-      if (!backlog || *backlog <= 0) return usage();
-      options.backlog = *backlog;
     } else if (flag == "--trace-log") {
       if (i + 1 >= args.size()) return usage();
       options.trace_log = args[++i];
@@ -711,9 +694,6 @@ std::optional<std::vector<router::ShardAddress>> parse_shard_list(
 
 /// `pipeopt route`: the sharded front tier (src/router/).
 int run_route(const std::vector<std::string>& args) {
-  // Dead shards and vanished clients must surface as write errors on the
-  // relay/front sockets, never as a SIGPIPE kill.
-  std::signal(SIGPIPE, SIG_IGN);
   router::RouterOptions options;
   for (std::size_t i = 0; i < args.size(); ++i) {
     const std::string& flag = args[i];
@@ -722,7 +702,7 @@ int run_route(const std::vector<std::string>& args) {
           "usage: pipeopt route (--shards H:P,H:P,... | --spawn N)\n"
           "                     [--host H] [--port N] [--jobs N]\n"
           "                     [--cache-entries N] [--window N]\n"
-          "                     [--health-interval-ms MS] [--backlog N]\n"
+          "                     [--health-interval-ms MS]\n"
           "                     [--retries N] [--backoff-ms MS]\n"
           "                     [--breaker-threshold N]\n"
           "                     [--breaker-cooldown-ms MS]\n"
@@ -746,7 +726,6 @@ int run_route(const std::vector<std::string>& args) {
           "                    {\"type\":\"error\",\"code\":\"overloaded\"}\n"
           "  --health-interval-ms MS\n"
           "                    probe period (default 250)\n"
-          "  --backlog N       front-tier listen(2) queue (default 128)\n"
           "  --retries N       per-request failover budget: N retries after\n"
           "                    the first attempt (default 0 = one attempt\n"
           "                    per shard); retried attempts back off with\n"
@@ -814,11 +793,6 @@ int run_route(const std::vector<std::string>& args) {
       const auto interval = parse_number<std::uint64_t>(args[++i]);
       if (!interval || *interval == 0) return usage();
       options.health_interval = std::chrono::milliseconds(*interval);
-    } else if (flag == "--backlog") {
-      if (i + 1 >= args.size()) return usage();
-      const auto backlog = parse_number<int>(args[++i]);
-      if (!backlog || *backlog <= 0) return usage();
-      options.backlog = *backlog;
     } else if (flag == "--retries") {
       if (i + 1 >= args.size()) return usage();
       const auto retries = parse_number<std::size_t>(args[++i]);
@@ -884,50 +858,6 @@ int run_route(const std::vector<std::string>& args) {
   }
 }
 
-/// Connects to host:port; -1 on failure with errno describing why (the
-/// close must not clobber it — "connection refused" vs "network
-/// unreachable" is the whole point of the exit-3 message).
-int connect_to(const std::string& host, std::uint16_t port) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return -1;
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(port);
-  if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
-    ::close(fd);
-    errno = EINVAL;
-    return -1;
-  }
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0) {
-    bool connected = false;
-    if (errno == EINTR) {
-      // An interrupted connect(2) keeps going in the background; wait for
-      // writability and read the real outcome from SO_ERROR instead of
-      // reporting a spurious failure.
-      pollfd waiter{};
-      waiter.fd = fd;
-      waiter.events = POLLOUT;
-      while (::poll(&waiter, 1, -1) < 0 && errno == EINTR) {
-      }
-      int error = 0;
-      socklen_t error_len = sizeof error;
-      if (::getsockopt(fd, SOL_SOCKET, SO_ERROR, &error, &error_len) == 0 &&
-          error == 0) {
-        connected = true;
-      } else if (error != 0) {
-        errno = error;
-      }
-    }
-    if (!connected) {
-      const int saved = errno;
-      ::close(fd);
-      errno = saved;
-      return -1;
-    }
-  }
-  return fd;
-}
-
 /// Maps one server response line onto the CLI exit-code contract: error
 /// lines (or unparseable ones) are 2, results map like local solves,
 /// pareto summaries map like the local `pareto` command (1 when empty or
@@ -967,9 +897,6 @@ std::string line_type(const std::string& line) {
 
 /// `pipeopt client`: scripted load generation against a running server.
 int run_client(const std::vector<std::string>& args) {
-  // Before any socket work: a server that dies mid-write must surface as
-  // a write error (exit 3 or a budgeted retry), not a SIGPIPE kill.
-  std::signal(SIGPIPE, SIG_IGN);
   std::string host = "127.0.0.1";
   std::optional<std::uint16_t> port;
   std::string manifest, raw_file;
@@ -1085,7 +1012,7 @@ int run_client(const std::vector<std::string>& args) {
 
   int fd = -1;
   for (std::size_t attempt = 0;; ++attempt) {
-    fd = connect_to(host, *port);
+    fd = net::connect(host, *port);
     if (fd >= 0) break;
     if (attempt >= retries) {
       std::fprintf(
@@ -1117,7 +1044,7 @@ int run_client(const std::vector<std::string>& args) {
       std::ofstream out(poll_out, std::ios::trunc);
       const util::Stopwatch elapsed;
       while (!poll_stop.load(std::memory_order_relaxed)) {
-        const int poll_fd = connect_to(host, port);
+        const int poll_fd = net::connect(host, port);
         if (poll_fd >= 0) {
           util::FdLineReader poll_reader(poll_fd);
           for (const char* probe :
@@ -1208,7 +1135,7 @@ int run_client(const std::vector<std::string>& args) {
     bool delivered = false;
     while (!delivered) {
       if (fd < 0) {
-        fd = connect_to(host, *port);
+        fd = net::connect(host, *port);
         if (fd < 0) {
           const int saved = errno;
           if (budget_retry("connect")) continue;
@@ -1358,7 +1285,6 @@ int run_top(const std::vector<std::string>& args) {
     }
   }
   if (!port) return usage();
-  std::signal(SIGPIPE, SIG_IGN);
 
   // Redraw only on an interactive screen; piped output gets appended
   // frames regardless of --no-clear (ANSI codes in a log help nobody).
@@ -1370,7 +1296,7 @@ int run_top(const std::vector<std::string>& args) {
     const util::Stopwatch poll_watch;
     io::JsonFields stats, metrics;
     {
-      const int fd = connect_to(host, *port);
+      const int fd = net::connect(host, *port);
       if (fd < 0) {
         std::fprintf(stderr,
                      "error: cannot connect to %s:%u: %s\n"

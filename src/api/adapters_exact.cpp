@@ -52,8 +52,8 @@ SolveResult from_exact(const core::Problem& problem, Objective objective,
   // Every complete mapping reached is one evaluation: per-leaf batch
   // evaluation in the enumerator, incremental finalized-max evaluation in
   // branch-and-bound, exact candidate re-evaluation in branch-and-cut.
-  // Surfaced so ServerStats can aggregate fleet-wide evaluation throughput
-  // on the stats wire line.
+  // Surfaced so the server's solver.<name>.evals counters can aggregate
+  // fleet-wide evaluation throughput (the stats line's `evals`).
   result.diagnostics.emplace_back(
       "evals", std::to_string(exact_result->stats.complete));
   return result;

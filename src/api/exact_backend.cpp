@@ -123,8 +123,6 @@ const std::vector<const ExactBackend*>& exact_backends() {
     list->push_back(new BranchBoundBackend());
     list->push_back(new EnumerationBackend());
     list->push_back(new MipBackend());
-    if (std::unique_ptr<ExactBackend> ortools = detail::make_ortools_backend())
-      list->push_back(ortools.release());
     return list;
   }();
   return backends;

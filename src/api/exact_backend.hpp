@@ -21,13 +21,11 @@
 ///   mip-branch-cut     rank 20  independent MIP formulation over an LP
 ///                               relaxation (exact/mip/) — the structurally
 ///                               independent oracle
-/// Optional backends appear when compiled in (`PIPEOPT_WITH_ORTOOLS` adds
-/// ortools-cpsat at rank 30). Ranks above 10 are never auto-dispatched —
-/// exact-enumeration accepts every request first — so adding a backend
-/// never changes which solver an unforced request runs; they are reached
-/// via `SolveRequest::solver` forcing (CLI: `solve --solver <name>`).
+/// Ranks above 10 are never auto-dispatched — exact-enumeration accepts
+/// every request first — so adding a backend never changes which solver
+/// an unforced request runs; they are reached via `SolveRequest::solver`
+/// forcing (CLI: `solve --solver <name>`).
 
-#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -87,12 +85,5 @@ class ExactBackend {
 
 /// Backend by registry name, or nullptr.
 [[nodiscard]] const ExactBackend* find_exact_backend(std::string_view name);
-
-namespace detail {
-/// Defined in backends_ortools.cpp: the CP-SAT backend when the build has
-/// OR-tools (`PIPEOPT_WITH_ORTOOLS`), nullptr otherwise — so the registry
-/// code links identically either way.
-[[nodiscard]] std::unique_ptr<ExactBackend> make_ortools_backend();
-}  // namespace detail
 
 }  // namespace pipeopt::api

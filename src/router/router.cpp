@@ -63,7 +63,14 @@ std::string splice_trace(const std::string& line, const std::string& id) {
 
 Router::Router(RouterOptions options)
     : options_(std::move(options)),
-      started_(std::chrono::steady_clock::now()) {
+      started_(std::chrono::steady_clock::now()),
+      routed_(metrics_.counter("routed")),
+      shed_(metrics_.counter("shed")),
+      shed_expired_(metrics_.counter("shed_expired")),
+      retries_connect_(metrics_.counter("retries_by_code.connect")),
+      retries_transport_(metrics_.counter("retries_by_code.transport")),
+      restarts_(metrics_.counter("restarts")),
+      shard_lost_errors_(metrics_.counter("shard_lost_errors")) {
   const bool endpoint_mode = !options_.shards.empty();
   const bool spawn_mode = options_.spawn > 0;
   if (endpoint_mode == spawn_mode) {
@@ -497,16 +504,16 @@ Router::Relay Router::forward_line(const std::string& line,
   std::vector<bool> tried(shards_.size(), false);
   const auto respond_error = [&](const std::string& code,
                                  const std::string& message) {
-    ++shed_;
+    shed_.add();
     return send_front(session.fd, io::format_error(message, id, code))
                ? Relay::Done
                : Relay::ClientGone;
   };
-  // Counts one consumed attempt under `code`; returns false when the
-  // budget is exhausted (time to answer typed).
-  const auto count_retry = [&](const char* code) {
-    ++retries_;
-    metrics_.counter(std::string("retries_by_code.") + code).add(1);
+  // Counts one consumed attempt under its cause's `retries_by_code.*`
+  // counter; returns false when the budget is exhausted (time to answer
+  // typed).
+  const auto count_retry = [&](obs::Counter& by_code) {
+    by_code.add();
     ++attempt;
     if (attempt >= max_attempts) return false;
     const std::uint64_t delay = policy.delay_ms(attempt - 1);
@@ -536,8 +543,7 @@ Router::Relay Router::forward_line(const std::string& line,
         }
         return respond_error("unavailable", "request failed on every shard");
       case Admit::Expired:
-        ++shed_expired_;
-        metrics_.counter("shed_expired").add(1);
+        shed_expired_.add();
         return send_front(session.fd,
                           io::format_error("deadline expired before dispatch",
                                            id, "expired"))
@@ -562,7 +568,7 @@ Router::Relay Router::forward_line(const std::string& line,
       release_slot(shard);
       record_failure(shard);
       tried[shard] = true;
-      if (!count_retry("connect")) {
+      if (!count_retry(retries_connect_)) {
         return respond_error("unavailable", "request failed on every shard");
       }
       continue;
@@ -614,7 +620,7 @@ Router::Relay Router::forward_line(const std::string& line,
         // Single-line response, the pareto terminal summary, or a typed
         // error line: the response is complete.
         release_slot(shard);
-        ++routed_;
+        routed_.add();
         record_success(shard);
         return Relay::Done;
       }
@@ -628,7 +634,7 @@ Router::Relay Router::forward_line(const std::string& line,
     release_slot(shard);
     if (relayed_bytes) {
       record_failure(shard);
-      ++shard_lost_errors_;
+      shard_lost_errors_.add();
       return send_front(session.fd,
                         io::format_error("shard connection lost mid-response",
                                          id, "shard-lost"))
@@ -643,73 +649,69 @@ Router::Relay Router::forward_line(const std::string& line,
       record_failure(shard);
       tried[shard] = true;
     }
-    if (!count_retry("transport")) {
+    if (!count_retry(retries_transport_)) {
       return respond_error("unavailable", "request failed on every shard");
     }
   }
 }
 
-void Router::answer_metrics(const std::string& id, int out_fd) {
-  // Same fan-out shape as answer_stats, but the merge goes through
-  // obs::merge_metrics_fields: derived quantile fields are stripped from
-  // every shard snapshot, the summable counter/bucket fields sum, and the
-  // fleet quantiles are re-derived from the merged buckets — a merging
-  // tier never averages two medians. The router's own snapshot goes first
-  // so its `phase.relay` fields lead the merged block.
-  struct Liveness {
-    bool up;
-    std::size_t in_flight;
-    BreakerState breaker;
-  };
-  std::vector<std::pair<std::string, std::uint16_t>> endpoints;
-  std::size_t up = 0;
-  std::vector<Liveness> liveness;
-  {
-    const std::lock_guard<std::mutex> lock(state_mutex_);
-    for (const auto& shard : shards_) {
-      liveness.push_back(
-          Liveness{shard->healthy, shard->in_flight, shard->breaker});
-      if (!shard->healthy) continue;
-      ++up;
-      endpoints.emplace_back(shard->host, shard->port);
-    }
-  }
-  std::vector<obs::MetricFields> snapshots;
-  snapshots.push_back(metrics_.snapshot());
-  for (const auto& [host, port] : endpoints) {
-    const int fd = net::connect(host, port, options_.probe_timeout);
+std::vector<io::JsonFields> Router::fan_out(
+    const std::vector<ShardInfo>& shards, const std::string& type) const {
+  // Short-lived probe connections (the session's cached connections would
+  // work too, but a down shard must not stall the answer — the probe
+  // timeout bounds each leg).
+  const std::string request = "{\"type\":\"" + type + "\"}";
+  std::vector<io::JsonFields> answers;
+  for (const ShardInfo& shard : shards) {
+    if (!shard.healthy) continue;
+    const int fd = net::connect(shard.host, shard.port, options_.probe_timeout);
     if (fd < 0) continue;
-    if (write_line(fd, "{\"type\":\"metrics\"}")) {
-      FdLineReader reader(fd);
-      std::string response;
-      if (reader.next_line(response) && response_type(response) == "metrics") {
-        try {
-          snapshots.push_back(io::parse_flat_json(response));
-        } catch (const io::ParseError&) {
-          // A torn shard line must not kill the whole answer.
+    FdLineReader reader(fd);
+    std::string response;
+    if (write_line(fd, request) && reader.next_line(response) &&
+        reader.last_terminated()) {
+      try {
+        io::JsonFields fields = io::parse_flat_json(response);
+        std::erase_if(fields, [](const auto& field) {
+          return obs::is_derived_metric_field(field.first);
+        });
+        if (io::stats_field(fields, "type") == type) {
+          // The merge's own rule (every field a decimal counter), checked
+          // per shard: the fleet-wide merge can then no longer throw.
+          (void)io::merge_stats_fields({fields});
+          answers.push_back(std::move(fields));
         }
+      } catch (const io::ParseError&) {
+        // Dropped: this shard's answer only, never the others'.
       }
     }
     ::close(fd);
   }
-  obs::MetricFields merged;
-  try {
-    merged = obs::merge_metrics_fields(snapshots);
-  } catch (const std::exception&) {
-    merged.clear();
-  }
+  return answers;
+}
+
+void Router::answer_metrics(const std::string& id, int out_fd) {
+  // Histogram groups merge bucket-wise and the fleet quantiles are
+  // re-derived from the merged buckets — a merging tier never averages
+  // two medians. The router's own snapshot goes first so its fields lead
+  // the merged block.
+  const std::vector<ShardInfo> shards = shard_infos();
+  std::vector<obs::MetricFields> snapshots = fan_out(shards, "metrics");
+  snapshots.insert(snapshots.begin(), metrics_.snapshot());
+  const obs::MetricFields merged = obs::merge_metrics_fields(snapshots);
 
   io::FlatJsonWriter out;
   out.field("type", "metrics");
   if (!id.empty()) out.field("id", id);
-  out.field("shards", std::to_string(shards_.size()));
-  out.field("shards_up", std::to_string(up));
-  for (std::size_t i = 0; i < liveness.size(); ++i) {
+  out.field("shards", std::to_string(shards.size()));
+  out.field("shards_up", std::to_string(std::ranges::count_if(
+                             shards, &ShardInfo::healthy)));
+  for (std::size_t i = 0; i < shards.size(); ++i) {
     const std::string prefix = "shard." + std::to_string(i) + ".";
-    out.field(prefix + "up", liveness[i].up ? "1" : "0");
-    out.field(prefix + "in_flight", std::to_string(liveness[i].in_flight));
+    out.field(prefix + "up", shards[i].healthy ? "1" : "0");
+    out.field(prefix + "in_flight", std::to_string(shards[i].in_flight));
     out.field(prefix + "breaker_state",
-              std::to_string(static_cast<int>(liveness[i].breaker)));
+              std::to_string(static_cast<int>(shards[i].breaker)));
   }
   for (const auto& [key, value] : merged) out.field(key, value);
   send_front(out_fd, std::move(out).str());
@@ -740,52 +742,24 @@ void Router::answer_health(const std::string& id, int out_fd) {
 }
 
 void Router::answer_stats(const std::string& id, int out_fd) {
-  // Fan out to the healthy shards over short-lived probe connections (the
-  // session's cached connections would work too, but a down shard must
-  // not stall the merge — the probe timeout bounds each leg).
-  std::vector<std::pair<std::string, std::uint16_t>> endpoints;
-  std::size_t up = 0;
-  {
-    const std::lock_guard<std::mutex> lock(state_mutex_);
-    for (const auto& shard : shards_) {
-      if (!shard->healthy) continue;
-      ++up;
-      endpoints.emplace_back(shard->host, shard->port);
-    }
-  }
-  std::vector<std::string> lines;
-  for (const auto& [host, port] : endpoints) {
-    const int fd = net::connect(host, port, options_.probe_timeout);
-    if (fd < 0) continue;
-    if (write_line(fd, "{\"type\":\"stats\"}")) {
-      FdLineReader reader(fd);
-      std::string response;
-      if (reader.next_line(response) && response_type(response) == "stats") {
-        lines.push_back(std::move(response));
-      }
-    }
-    ::close(fd);
-  }
-  io::JsonFields merged;
-  try {
-    merged = io::merge_stats_lines(lines);
-  } catch (const std::exception&) {
-    merged.clear();  // a torn shard line must not kill the whole answer
-  }
+  const std::vector<ShardInfo> shards = shard_infos();
+  const io::JsonFields merged =
+      io::merge_stats_fields(fan_out(shards, "stats"));
 
   io::FlatJsonWriter out;
   out.field("type", "stats");
   if (!id.empty()) out.field("id", id);
-  out.field("shards", std::to_string(shards_.size()));
-  out.field("shards_up", std::to_string(up));
-  out.field("routed", std::to_string(routed_.load()));
-  out.field("shed", std::to_string(shed_.load()));
-  out.field("shed_expired", std::to_string(shed_expired_.load()));
-  out.field("retries", std::to_string(retries_.load()));
-  out.field("restarts", std::to_string(restarts_.load()));
+  out.field("shards", std::to_string(shards.size()));
+  out.field("shards_up", std::to_string(std::ranges::count_if(
+                             shards, &ShardInfo::healthy)));
+  out.field("routed", std::to_string(routed()));
+  out.field("shed", std::to_string(shed()));
+  out.field("shed_expired", std::to_string(shed_expired()));
+  out.field("retries", std::to_string(retries()));
+  out.field("restarts", std::to_string(restarts()));
   out.field("shard_up_transitions", std::to_string(up_transitions()));
   out.field("shard_down_transitions", std::to_string(down_transitions()));
-  out.field("shard_lost_errors", std::to_string(shard_lost_errors_.load()));
+  out.field("shard_lost_errors", std::to_string(shard_lost_errors()));
   for (const auto& [key, value] : merged) out.field(key, value);
   send_front(out_fd, std::move(out).str());
 }
@@ -833,7 +807,7 @@ void Router::check_shards() {
       if (pid <= 0) {
         try {
           spawn_shard(i);
-          ++restarts_;
+          restarts_.add();
         } catch (const std::exception&) {
           continue;  // stays down; retried next interval
         }

@@ -21,11 +21,15 @@
 ///    shard_down_transitions, shard_lost_errors.
 ///  * `{"type":"metrics"}` — fanned out likewise; the shard metric
 ///    snapshots and the router's own (its `phase.relay` histogram and the
-///    `retries_by_code.*` / `shed_expired` counters) merge bucket-wise
+///    `routed`, `shed`, `shed_expired`, `retries_by_code.*`, `restarts`
+///    and `shard_lost_errors` counters) merge bucket-wise
 ///    through `obs::merge_metrics_fields`, quantiles re-derived from the
 ///    merged buckets, prefixed by per-shard liveness fields
 ///    (`shard.<i>.up`, `shard.<i>.in_flight`, `shard.<i>.breaker_state`)
 ///    for the `pipeopt top` view.
+///
+///  Both fan-outs drop a shard answer that arrives torn, of the wrong
+///  type or with a non-counter value, and merge the rest.
 ///
 /// Tracing (`--trace-log`): the router peeks each solve/pareto line's
 /// optional `"trace"` id, generates one when absent and splices it into the
@@ -86,7 +90,6 @@
 /// in-flight forwards finish, then — spawn mode — SIGTERMs the shards and
 /// reaps them: requests drain first, shards second.
 
-#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
@@ -229,22 +232,31 @@ class Router {
   [[nodiscard]] std::size_t shard_count() const noexcept;
   [[nodiscard]] std::vector<ShardInfo> shard_infos() const;
 
-  // Router-level counters (the `stats` fields of the same name).
-  [[nodiscard]] std::uint64_t routed() const noexcept { return routed_; }
-  [[nodiscard]] std::uint64_t shed() const noexcept { return shed_; }
-  [[nodiscard]] std::uint64_t shed_expired() const noexcept {
-    return shed_expired_;
+  // Router-level counters (the `stats` fields of the same name), read
+  // from the metric registry.
+  [[nodiscard]] std::uint64_t routed() const noexcept {
+    return routed_.value();
   }
-  [[nodiscard]] std::uint64_t retries() const noexcept { return retries_; }
-  [[nodiscard]] std::uint64_t restarts() const noexcept { return restarts_; }
+  [[nodiscard]] std::uint64_t shed() const noexcept { return shed_.value(); }
+  [[nodiscard]] std::uint64_t shed_expired() const noexcept {
+    return shed_expired_.value();
+  }
+  /// Σ `retries_by_code.*`: every consumed forward attempt, by cause.
+  [[nodiscard]] std::uint64_t retries() const noexcept {
+    return retries_connect_.value() + retries_transport_.value();
+  }
+  [[nodiscard]] std::uint64_t restarts() const noexcept {
+    return restarts_.value();
+  }
   [[nodiscard]] std::uint64_t shard_lost_errors() const noexcept {
-    return shard_lost_errors_;
+    return shard_lost_errors_.value();
   }
   [[nodiscard]] std::uint64_t up_transitions() const;
   [[nodiscard]] std::uint64_t down_transitions() const;
 
-  /// The router's own metric registry — what its `{"type":"metrics"}`
-  /// answer merges in ahead of the shard snapshots.
+  /// The router's own metric registry — the store behind the router-level
+  /// `stats` fields, and what its `{"type":"metrics"}` answer merges in
+  /// ahead of the shard snapshots.
   [[nodiscard]] obs::MetricsRegistry& metrics() noexcept { return metrics_; }
 
   /// The fault injector behind `--fault-spec`; nullptr when injection is
@@ -325,6 +337,13 @@ class Router {
   bool ensure_conn(Session& session, std::size_t shard_index);
   /// Front-session write honoring the fault hooks.
   bool send_front(int fd, std::string line) const;
+  /// Asks every shard healthy in `shards` for its `{"type":"<type>"}`
+  /// answer over a short-lived probe connection and returns the summable
+  /// fields of each whole, well-formed answer (derived quantile fields
+  /// stripped). A torn, mistyped or non-numeric answer is dropped, so one
+  /// bad shard never blanks the others' fields.
+  [[nodiscard]] std::vector<io::JsonFields> fan_out(
+      const std::vector<ShardInfo>& shards, const std::string& type) const;
   /// `{"type":"stats"}`: fan out, merge, answer.
   void answer_stats(const std::string& id, int out_fd);
   /// `{"type":"metrics"}`: fan out, bucket-wise merge with the router's
@@ -354,17 +373,18 @@ class Router {
   bool health_stop_ = false;
 
   obs::MetricsRegistry metrics_;
+  // Router-level counters, bound once from metrics_ (declared after it).
+  obs::Counter& routed_;
+  obs::Counter& shed_;          ///< overloaded/unavailable sheds
+  obs::Counter& shed_expired_;  ///< deadline sheds
+  obs::Counter& retries_connect_;
+  obs::Counter& retries_transport_;
+  obs::Counter& restarts_;
+  obs::Counter& shard_lost_errors_;
   std::unique_ptr<obs::TraceLog> trace_log_;  ///< null = tracing off
   std::unique_ptr<net::FaultInjector> fault_;  ///< null = injection off
   const util::IoHooks* front_hooks_ = nullptr;  ///< fault_'s front_io()
   const util::IoHooks* relay_hooks_ = nullptr;  ///< fault_'s relay_io()
-
-  std::atomic<std::uint64_t> routed_{0};
-  std::atomic<std::uint64_t> shed_{0};
-  std::atomic<std::uint64_t> shed_expired_{0};
-  std::atomic<std::uint64_t> retries_{0};
-  std::atomic<std::uint64_t> restarts_{0};
-  std::atomic<std::uint64_t> shard_lost_errors_{0};
 
   /// Declared last, so it is destroyed first: no session outlives the
   /// members it routes with.

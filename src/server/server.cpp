@@ -6,10 +6,13 @@
 #include <chrono>
 #include <cstdlib>
 #include <future>
+#include <iterator>
 #include <optional>
 #include <stdexcept>
+#include <string_view>
 #include <utility>
 
+#include "api/cache.hpp"
 #include "io/json.hpp"
 #include "io/request_io.hpp"
 #include "io/result_io.hpp"
@@ -48,16 +51,25 @@ std::string peek_trace(const io::JsonFields& fields) {
   return {};
 }
 
+bool ends_with(const std::string& text, std::string_view suffix) {
+  return text.size() >= suffix.size() &&
+         text.compare(text.size() - suffix.size(), suffix.size(), suffix) == 0;
+}
+
 }  // namespace
 
 Server::Server(ServerOptions options)
     : options_(std::move(options)),
       executor_(api::ExecutorOptions{.jobs = options_.jobs,
                                      .cache_entries = options_.cache_entries}),
+      requests_(metrics_.counter("requests")),
+      solves_(metrics_.counter("solves")),
+      sweeps_(metrics_.counter("sweeps")),
+      errors_(metrics_.counter("errors")),
+      cancelled_(metrics_.counter("cancelled")),
+      disconnect_cancels_(metrics_.counter("disconnect_cancels")),
+      connections_(metrics_.counter("connections")),
       started_(std::chrono::steady_clock::now()) {
-  // Stats snapshots include the cache counters iff the cache exists, so a
-  // cache-disabled server's stats line keeps its exact historical bytes.
-  stats_.attach_cache(executor_.cache());
   if (!options_.trace_log.empty()) {
     trace_log_ = std::make_unique<obs::TraceLog>(options_.trace_log);
   }
@@ -81,14 +93,14 @@ void Server::serve() {
   listen();
   listener_.run(
       [this](int fd) {
-        stats_.record_connection();
+        connections_.add();
         session_loop(fd, fd, /*is_socket=*/true);
       },
       fault_.get());
 }
 
 void Server::serve_stream(int in_fd, int out_fd) {
-  stats_.record_connection();
+  connections_.add();
   session_loop(in_fd, out_fd, /*is_socket=*/false);
 }
 
@@ -111,7 +123,7 @@ void Server::session_loop(int in_fd, int out_fd, bool is_socket) {
     if (listener_.stopping() && is_socket) break;
   }
   if (reader.line_too_long()) {
-    stats_.record_error();
+    errors_.add();
     send_line(out_fd, io::format_line_too_long());
   }
 }
@@ -120,7 +132,8 @@ bool Server::send_line(int out_fd, std::string line) const {
   return write_line(out_fd, std::move(line), session_hooks_);
 }
 
-void Server::record_result_metrics(const api::SolveResult& result) {
+void Server::record_result(const api::SolveResult& result) {
+  if (result.was_cancelled()) cancelled_.add();
   const std::string solver = result.solver.empty() ? "(none)" : result.solver;
   const double wall_us = std::max(0.0, result.wall_seconds) * 1e6;
   metrics_.histogram("solver." + solver + ".latency")
@@ -134,9 +147,46 @@ void Server::record_result_metrics(const api::SolveResult& result) {
   }
 }
 
+io::JsonFields Server::stats_fields() const {
+  std::uint64_t evals = 0;
+  io::JsonFields per_solver;
+  for (auto& [key, value] : metrics_.snapshot()) {
+    if (key.rfind("solver.", 0) != 0) continue;
+    if (ends_with(key, ".evals")) {
+      evals += std::strtoull(value.c_str(), nullptr, 10);
+    } else if (constexpr std::string_view kCount = ".latency.n";
+               ends_with(key, kCount)) {
+      per_solver.emplace_back(key.substr(0, key.size() - kCount.size()),
+                              std::move(value));
+    }
+  }
+  io::JsonFields fields = {
+      {"requests", std::to_string(requests_.value())},
+      {"solves", std::to_string(solves_.value())},
+      {"evals", std::to_string(evals)},
+      {"sweeps", std::to_string(sweeps_.value())},
+      {"errors", std::to_string(errors_.value())},
+      {"cancelled", std::to_string(cancelled_.value())},
+      {"disconnect_cancels", std::to_string(disconnect_cancels_.value())},
+      {"connections", std::to_string(connections_.value())}};
+  // Cache fields iff the cache exists, so a cache-disabled server's stats
+  // line keeps its exact historical bytes.
+  if (const api::SolveCache* cache = executor_.cache()) {
+    const api::CacheCounters counters = cache->counters();
+    fields.emplace_back("cache_hits", std::to_string(counters.hits));
+    fields.emplace_back("cache_misses", std::to_string(counters.misses));
+    fields.emplace_back("cache_evictions", std::to_string(counters.evictions));
+    fields.emplace_back("cache_entries", std::to_string(counters.entries));
+  }
+  std::move(per_solver.begin(), per_solver.end(), std::back_inserter(fields));
+  fields.emplace_back("jobs", std::to_string(executor_.jobs()));
+  fields.emplace_back("pending", std::to_string(executor_.pending()));
+  return fields;
+}
+
 void Server::handle_line(const std::string& line, int out_fd, int watch_fd,
                          bool is_socket, bool input_buffered) {
-  stats_.record_request();
+  requests_.add();
   // Zero point for the request's end-to-end latency histogram and its
   // parse span (everything until the work is dispatched counts as parse).
   const util::Stopwatch request_watch;
@@ -144,7 +194,7 @@ void Server::handle_line(const std::string& line, int out_fd, int watch_fd,
   try {
     fields = io::parse_flat_json(line);
   } catch (const io::ParseError& e) {
-    stats_.record_error();
+    errors_.add();
     send_line(out_fd, error_line("", e.what()));
     return;
   }
@@ -181,9 +231,7 @@ void Server::handle_line(const std::string& line, int out_fd, int watch_fd,
     io::FlatJsonWriter out;
     out.field("type", "stats");
     if (!id.empty()) out.field("id", id);
-    for (const auto& [key, value] : stats_.snapshot()) out.field(key, value);
-    out.field("jobs", std::to_string(executor_.jobs()));
-    out.field("pending", std::to_string(executor_.pending()));
+    for (const auto& [key, value] : stats_fields()) out.field(key, value);
     send_line(out_fd, std::move(out).str());
     return;
   }
@@ -206,7 +254,7 @@ void Server::handle_line(const std::string& line, int out_fd, int watch_fd,
     try {
       wire = io::parse_pareto_request(fields);
     } catch (const io::ParseError& e) {
-      stats_.record_error();
+      errors_.add();
       send_line(out_fd, error_line(id, e.what()));
       return;
     }
@@ -214,7 +262,7 @@ void Server::handle_line(const std::string& line, int out_fd, int watch_fd,
     // re-check, but an error line beats an empty front).
     if (const std::string error = api::validate_sweep(wire->request);
         !error.empty()) {
-      stats_.record_error();
+      errors_.add();
       send_line(out_fd, error_line(id, error));
       return;
     }
@@ -231,7 +279,7 @@ void Server::handle_line(const std::string& line, int out_fd, int watch_fd,
     obs::TraceContext trace(peek_trace(fields), &metrics_);
     trace.record("parse", request_watch.elapsed_micros());
     wire->request.base.trace = &trace;
-    stats_.record_sweep();
+    sweeps_.add();
     std::future<api::ParetoFront> future =
         std::async(std::launch::async, [this, w = std::move(*wire)] {
           return executor_.sweep(w.problem, w.request);
@@ -248,9 +296,8 @@ void Server::handle_line(const std::string& line, int out_fd, int watch_fd,
     // disconnect mid-sweep is thus observable as `cancelled` growing by
     // the number of grid points it killed).
     for (const api::SweepEvaluation& evaluation : front.evaluations) {
-      stats_.record_dispatch();
-      stats_.record_result(evaluation.result);
-      record_result_metrics(evaluation.result);
+      solves_.add();
+      record_result(evaluation.result);
     }
     {
       const obs::SpanTimer format_span(&trace, "format");
@@ -269,7 +316,7 @@ void Server::handle_line(const std::string& line, int out_fd, int watch_fd,
   }
 
   if (type != "solve") {
-    stats_.record_error();
+    errors_.add();
     send_line(out_fd, error_line(id, "unknown request type '" + type + "'"));
     return;
   }
@@ -278,7 +325,7 @@ void Server::handle_line(const std::string& line, int out_fd, int watch_fd,
   try {
     wire = io::parse_solve_request(fields);
   } catch (const io::ParseError& e) {
-    stats_.record_error();
+    errors_.add();
     send_line(out_fd, error_line(id, e.what()));
     return;
   }
@@ -292,7 +339,7 @@ void Server::handle_line(const std::string& line, int out_fd, int watch_fd,
   obs::TraceContext trace(peek_trace(fields), &metrics_);
   trace.record("parse", request_watch.elapsed_micros());
   wire->request.trace = &trace;
-  stats_.record_dispatch();
+  solves_.add();
   std::future<api::SolveResult> future = executor_.solve_async(
       std::move(wire->problem), std::move(wire->request));
 
@@ -303,8 +350,7 @@ void Server::handle_line(const std::string& line, int out_fd, int watch_fd,
       source, watch_fd, is_socket && !input_buffered);
 
   const api::SolveResult result = future.get();
-  stats_.record_result(result);
-  record_result_metrics(result);
+  record_result(result);
   {
     const obs::SpanTimer format_span(&trace, "format");
     send_line(out_fd, io::format_result(result, id));
@@ -339,7 +385,7 @@ bool Server::await_with_watch(
     if (peer == net::Peer::Gone && !listener_.stopping()) {
       source.request_cancel();
       cancelled_by_disconnect = true;
-      stats_.record_disconnect_cancel();
+      disconnect_cancels_.add();
       // Keep waiting: the worker returns a typed cancelled result, which
       // record_result counts even though the client will never read it.
     }

@@ -16,12 +16,15 @@
 ///    front order on the same connection, then one terminal
 ///    `{"type":"pareto", ...}` summary line. `deadline_ms` bounds the
 ///    whole sweep; grid points ride the shared executor pool.
-///  * `{"type":"stats"}` — answered with `{"type":"stats", ...}`: the
-///    ServerStats counters plus the executor pool's size and occupancy.
+///  * `{"type":"stats"}` — answered with `{"type":"stats", ...}`: an
+///    ordered projection of the metric registry (request, solve and
+///    cancellation counters, evaluations, per-solver counts, the cache's
+///    counters) plus the executor pool's size and occupancy.
 ///  * `{"type":"metrics"}` — answered with `{"type":"metrics", ...}`: the
-///    server's obs::MetricsRegistry snapshot — request/phase/per-solver
-///    latency histograms as fleet-summable bucket fields, with derived
-///    p50/p90/p99 quantile fields appended (obs/metrics.hpp).
+///    server's obs::MetricsRegistry snapshot — the `stats` counters,
+///    request/phase/per-solver latency histograms as fleet-summable bucket
+///    fields, with derived p50/p90/p99 quantile fields appended
+///    (obs/metrics.hpp).
 ///  * `{"type":"health"}` — answered with `{"type":"health", ...}`: pid,
 ///    uptime and in-flight count, assembled in constant time (no pool
 ///    round trip, no per-solver scan) — the probe the router's health
@@ -63,11 +66,11 @@
 #include <string>
 
 #include "api/executor.hpp"
+#include "io/json.hpp"
 #include "net/fault.hpp"
 #include "net/socket.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "server/stats.hpp"
 #include "util/cancel.hpp"
 
 namespace pipeopt::server {
@@ -132,9 +135,9 @@ class Server {
   static void install_signal_handlers(Server& server);
 
   [[nodiscard]] std::uint16_t port() const noexcept { return listener_.port(); }
-  [[nodiscard]] const ServerStats& stats() const noexcept { return stats_; }
   [[nodiscard]] api::Executor& executor() noexcept { return executor_; }
-  /// The server's metric registry — what `{"type":"metrics"}` snapshots.
+  /// The server's metric registry — the one store behind both
+  /// `{"type":"stats"}` and `{"type":"metrics"}`.
   [[nodiscard]] obs::MetricsRegistry& metrics() noexcept { return metrics_; }
   /// The fault injector behind `--fault-spec`; nullptr when injection is
   /// off (chaos tests assert on its injected() counters).
@@ -162,10 +165,20 @@ class Server {
       const std::function<bool(std::chrono::milliseconds)>& ready,
       util::CancelSource& source, int watch_fd, bool watching);
 
-  /// Records one finished solve into the metric registry: the per-solver
+  /// Records one finished solve into the metric registry: `cancelled`
+  /// when the result carries the "cancelled" diagnostic (expired
+  /// deadline, fired token or vanished client alike), the per-solver
   /// latency histogram (`solver.<name>.latency`, from the result's solve
-  /// wall) and evals counter, mirroring ServerStats's per-solver counts.
-  void record_result_metrics(const api::SolveResult& result);
+  /// wall; its sample count is the solver's dispatch count) and the
+  /// per-solver `solver.<name>.evals` counter.
+  void record_result(const api::SolveResult& result);
+
+  /// The `stats` response fields in docs/PROTOCOL.md's emission order,
+  /// projected from the registry: the counters below, `evals` summed over
+  /// `solver.<name>.evals`, the cache counters (cache on only), one
+  /// `solver.<name>` count per `solver.<name>.latency` histogram in its
+  /// creation (= first-dispatch) order, then the pool's `jobs`/`pending`.
+  [[nodiscard]] io::JsonFields stats_fields() const;
 
   /// Session-socket write that honors the fault hooks (all responses go
   /// through here so injected truncation hits real traffic paths).
@@ -173,8 +186,15 @@ class Server {
 
   ServerOptions options_;
   api::Executor executor_;
-  ServerStats stats_;
   obs::MetricsRegistry metrics_;
+  // The `stats` counters, bound once from metrics_ (declared after it).
+  obs::Counter& requests_;            ///< request lines handled, any type
+  obs::Counter& solves_;              ///< dispatches; a sweep counts per point
+  obs::Counter& sweeps_;              ///< pareto sweeps accepted
+  obs::Counter& errors_;              ///< lines answered with an error line
+  obs::Counter& cancelled_;           ///< results carrying "cancelled"
+  obs::Counter& disconnect_cancels_;  ///< solves cancelled by a vanished client
+  obs::Counter& connections_;         ///< TCP accepts and --stdio streams
   std::unique_ptr<obs::TraceLog> trace_log_;  ///< null = tracing off
   std::unique_ptr<net::FaultInjector> fault_;  ///< null = injection off
   const util::IoHooks* session_hooks_ = nullptr;  ///< fault_'s front_io()

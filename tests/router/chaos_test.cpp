@@ -12,6 +12,8 @@
 ///    state surfaces through stats/metrics;
 ///  * a flapping shard converges to Open instead of oscillating (the
 ///    up/down transition counters stay put);
+///  * a torn shard stats/metrics answer drops that shard alone from the
+///    merged fleet view;
 ///  * an expired relative deadline sheds typed before burning a slot.
 
 #include <gtest/gtest.h>
@@ -23,6 +25,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -31,6 +34,7 @@
 #include "gen/motivating_example.hpp"
 #include "io/request_io.hpp"
 #include "io/result_io.hpp"
+#include "io/stats_io.hpp"
 #include "router/router.hpp"
 #include "server/server.hpp"
 #include "tests/router/fleet_harness.hpp"
@@ -43,6 +47,7 @@ namespace {
 using server::ServerOptions;
 using testing_fleet::TestFleet;
 using testing_fleet::value_of;
+using testing_wire::TestServer;
 using testing_wire::WireClient;
 using testing_wire::comparable;
 using testing_wire::needle_instance;
@@ -96,7 +101,7 @@ TEST(Chaos, AcceptCloseCampaignDeliversExactlyOneResponsePerRequest) {
     ASSERT_NE(fleet.shard(i).server().fault_injector(), nullptr);
     injected += fleet.shard(i).server().fault_injector()->injected(
         net::FaultKind::Close);
-    solves += fleet.shard(i).server().stats().solves();
+    solves += fleet.shard(i).server().metrics().counter("solves").value();
   }
   EXPECT_GE(injected, 1u);
   EXPECT_GE(fleet.router().retries(), 1u);
@@ -200,12 +205,15 @@ TEST(Chaos, ConsecutiveFailuresOpenTheBreakerOnceAndSurfaceIt) {
   EXPECT_GE(number_of(stats, "retries"), 1u);
 }
 
-/// A shard that alternates per connection: even connections answer the
-/// health probe properly, odd connections are accepted then dropped — the
-/// canonical flapping endpoint.
-class FlakyShard {
+/// A hand-rolled shard endpoint: for each accepted connection it reads
+/// one request line, writes back the exact bytes `answer(n, line)` returns
+/// for the n-th connection (empty: none), then closes.
+class FakeShard {
  public:
-  FlakyShard() {
+  using Answer =
+      std::function<std::string(std::uint64_t, const std::string& line)>;
+
+  explicit FakeShard(Answer answer) : answer_(std::move(answer)) {
     fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
     sockaddr_in addr{};
     addr.sin_family = AF_INET;
@@ -218,7 +226,7 @@ class FlakyShard {
     thread_ = std::thread([this] { loop(); });
   }
 
-  ~FlakyShard() {
+  ~FakeShard() {
     stop_.store(true, std::memory_order_relaxed);
     if (thread_.joinable()) thread_.join();
     ::close(fd_);
@@ -234,33 +242,39 @@ class FlakyShard {
       if (::poll(&waiter, 1, 20) <= 0) continue;
       const int client = ::accept(fd_, nullptr, nullptr);
       if (client < 0) continue;
-      if (accepted++ % 2 != 0) {
-        ::close(client);  // flap: accepted, then dropped before a byte
-        continue;
-      }
       util::FdLineReader reader(client);
       std::string line;
       if (reader.next_line(line)) {
-        util::write_line(client,
-                         R"({"type":"health","pid":"0","uptime_s":"0.0",)"
-                         R"("in_flight":"0"})");
+        // Best effort, like any shard: the router may already be gone.
+        const std::string bytes = answer_(accepted, line);
+        ::send(client, bytes.data(), bytes.size(), MSG_NOSIGNAL);
       }
+      ++accepted;
       ::close(client);
     }
   }
 
+  Answer answer_;
   int fd_ = -1;
   std::uint16_t port_ = 0;
   std::atomic<bool> stop_{false};
   std::thread thread_;
 };
 
+/// A whole, well-formed health answer.
+constexpr const char kHealthLine[] =
+    R"({"type":"health","pid":"0","uptime_s":"0.0","in_flight":"0"})" "\n";
+
 TEST(Chaos, FlappingShardConvergesToOpenWithoutPumpingTransitions) {
   // Strict alternation never produces breaker_close_successes (2)
   // successes in a row, so strikes only accumulate: the breaker opens
   // exactly once (down == 1) and never closes again (up == 0), instead of
   // flapping the routing view on every probe.
-  FlakyShard flaky;
+  // Even connections answer the health probe properly, odd ones are
+  // accepted then dropped without a byte: the canonical flapping endpoint.
+  FakeShard flaky([](std::uint64_t n, const std::string&) {
+    return n % 2 == 0 ? std::string(kHealthLine) : std::string();
+  });
   RouterOptions options;
   options.shards.push_back(ShardAddress{"127.0.0.1", flaky.port()});
   options.health_interval = std::chrono::milliseconds(20);
@@ -281,6 +295,41 @@ TEST(Chaos, FlappingShardConvergesToOpenWithoutPumpingTransitions) {
   EXPECT_EQ(infos[0].up_transitions, 0u);
   EXPECT_NE(infos[0].breaker, BreakerState::Closed);
   EXPECT_FALSE(infos[0].healthy);
+}
+
+TEST(Chaos, TornShardAnswerKeepsTheOtherShardsCounters) {
+  // One shard answers health properly but cuts its stats and metrics
+  // answers mid-field and closes. The real shard beside it must still
+  // show in both merged fleet views: the torn line is dropped alone.
+  FakeShard torn([](std::uint64_t, const std::string& line) {
+    const std::string type =
+        io::stats_field(io::parse_flat_json(line), "type");
+    if (type == "health") return std::string(kHealthLine);
+    return R"({"type":")" + type + R"(","requests":"1","sol)";
+  });
+  TestServer real(ServerOptions{.jobs = 2});
+  RouterOptions options;
+  options.shards.push_back(ShardAddress{"127.0.0.1", torn.port()});
+  options.shards.push_back(ShardAddress{"127.0.0.1", real.port()});
+  options.health_interval = kProbesOff;
+  testing_fleet::TestRouter router(std::move(options));
+  WireClient client(router.port());
+  ASSERT_TRUE(client.connected());
+
+  client.send_line(R"({"type":"stats"})");
+  const auto stats_line = client.recv_line();
+  ASSERT_TRUE(stats_line.has_value());
+  const io::JsonFields stats = io::parse_flat_json(*stats_line);
+  EXPECT_EQ(value_of(stats, "shards_up"), "2");
+  EXPECT_EQ(value_of(stats, "jobs"), "2");      // the real shard's pool
+  EXPECT_EQ(value_of(stats, "requests"), "1");  // this very fan-out
+
+  client.send_line(R"({"type":"metrics"})");
+  const auto metrics_line = client.recv_line();
+  ASSERT_TRUE(metrics_line.has_value());
+  const io::JsonFields metrics = io::parse_flat_json(*metrics_line);
+  EXPECT_EQ(value_of(metrics, "shards_up"), "2");
+  EXPECT_EQ(value_of(metrics, "in_flight"), "0");  // the real shard's gauge
 }
 
 TEST(Chaos, ExpiredDeadlineShedsTypedBeforeBurningASlot) {

@@ -204,6 +204,38 @@ TEST(Router, StatsMergeShardCountersUnderRouterFields) {
   EXPECT_EQ(value_of(fields, "jobs"), "4");
   // Cache-off fleet: the merged line must not invent cache counters.
   EXPECT_EQ(response->find("cache_"), std::string::npos);
+
+  // The full line: the router fields in docs/PROTOCOL.md order, then the
+  // merged shard block — the server's §stats counters in order, jobs and
+  // pending, with the per-solver counts wherever a shard first reported
+  // them (first-appearance merge order) — agreeing with the metrics line.
+  client.send_line(R"({"type":"metrics"})");
+  const auto metrics_line = client.recv_line();
+  ASSERT_TRUE(metrics_line.has_value());
+  const io::JsonFields metrics = io::parse_flat_json(*metrics_line);
+  const std::vector<std::string> router_keys = {
+      "type",     "id",          "shards",
+      "shards_up", "routed",     "shed",
+      "shed_expired", "retries", "restarts",
+      "shard_up_transitions", "shard_down_transitions", "shard_lost_errors"};
+  const std::vector<std::string> keys = testing_wire::keys_of(fields);
+  ASSERT_GT(keys.size(), router_keys.size());
+  EXPECT_EQ(std::vector<std::string>(keys.begin(),
+                                     keys.begin() + router_keys.size()),
+            router_keys);
+  std::vector<std::string> shard_block;  // less the per-solver counts
+  for (std::size_t i = router_keys.size(); i < keys.size(); ++i) {
+    if (!testing_wire::starts_with(keys[i], "solver.")) {
+      shard_block.push_back(keys[i]);
+    }
+  }
+  std::vector<std::string> expected = testing_wire::kStatsCounterKeys;
+  expected.push_back("jobs");
+  expected.push_back("pending");
+  EXPECT_EQ(shard_block, expected);
+  testing_wire::expect_stats_agree_with_metrics(fields, metrics);
+  EXPECT_EQ(value_of(fields, "shed_expired").value_or("0"),
+            value_of(metrics, "shed_expired").value_or("0"));
 }
 
 TEST(Router, StickyRoutingKeepsShardCachesCoherentAcrossReplays) {

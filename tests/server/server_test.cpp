@@ -40,6 +40,11 @@ using testing_wire::needle_instance;
 using testing_wire::needle_request;
 using testing_wire::table_grid;
 
+/// One of the server's `stats` counters, read from its metric registry.
+std::uint64_t counter(Server& server, const char* name) {
+  return server.metrics().counter(name).value();
+}
+
 TEST(Server, ResponsesBitIdenticalToPerCallSolveOverTheGrid) {
   TestServer harness(/*jobs=*/2);
   WireClient client(harness.port());
@@ -108,7 +113,7 @@ TEST(Server, MalformedLineGetsStructuredErrorAndConnectionSurvives) {
   const auto response = client.recv_line();
   ASSERT_TRUE(response.has_value());
   EXPECT_TRUE(io::parse_result_line(*response).result.solved());
-  EXPECT_EQ(harness.server().stats().errors(), 3u);
+  EXPECT_EQ(counter(harness.server(), "errors"), 3u);
 }
 
 TEST(Server, PingAndStatsAnswerInline) {
@@ -145,6 +150,21 @@ TEST(Server, PingAndStatsAnswerInline) {
   const api::SolveResult local =
       api::solve(gen::motivating_example(), api::SolveRequest{});
   EXPECT_EQ(value_of("solver." + local.solver), "1");
+
+  // The full line is docs/PROTOCOL.md §stats in emission order (cache off:
+  // no cache fields), and it agrees with the metrics line.
+  client.send_line(R"({"type":"metrics"})");
+  const auto metrics_line = client.recv_line();
+  ASSERT_TRUE(metrics_line.has_value());
+  const io::JsonFields metrics = io::parse_flat_json(*metrics_line);
+  std::vector<std::string> expected = {"type"};
+  expected.insert(expected.end(), testing_wire::kStatsCounterKeys.begin(),
+                  testing_wire::kStatsCounterKeys.end());
+  expected.push_back("solver." + local.solver);
+  expected.push_back("jobs");
+  expected.push_back("pending");
+  EXPECT_EQ(testing_wire::keys_of(fields), expected);
+  testing_wire::expect_stats_agree_with_metrics(fields, metrics);
 }
 
 TEST(Server, HealthAnswersPidUptimeAndInFlightInline) {
@@ -263,6 +283,27 @@ TEST(Server, CacheEnabledServerRepliesByteIdenticallyOnReplay) {
   const api::SolveCache* cache = harness.server().executor().cache();
   ASSERT_NE(cache, nullptr);
   EXPECT_EQ(cache->hits(), lines.size());
+
+  // The full line is docs/PROTOCOL.md §stats in emission order (cache on:
+  // the four cache fields before the per-solver counts, which follow
+  // first-dispatch order), and it agrees with the metrics line.
+  client.send_line(R"({"type":"metrics"})");
+  const auto metrics_line = client.recv_line();
+  ASSERT_TRUE(metrics_line.has_value());
+  const io::JsonFields metrics = io::parse_flat_json(*metrics_line);
+  std::vector<std::string> expected = {"type"};
+  for (const auto* group :
+       {&testing_wire::kStatsCounterKeys, &testing_wire::kStatsCacheKeys}) {
+    expected.insert(expected.end(), group->begin(), group->end());
+  }
+  const std::vector<std::string> solvers =
+      testing_wire::solver_count_keys(metrics);
+  EXPECT_GE(solvers.size(), 2u);  // the period and the energy solver
+  expected.insert(expected.end(), solvers.begin(), solvers.end());
+  expected.push_back("jobs");
+  expected.push_back("pending");
+  EXPECT_EQ(testing_wire::keys_of(fields), expected);
+  testing_wire::expect_stats_agree_with_metrics(fields, metrics);
 }
 
 TEST(Server, CacheDisabledServerKeepsTheHistoricalStatsFields) {
@@ -293,7 +334,7 @@ TEST(Server, DeadlineExpiresIntoTypedCancelledResultOverTheWire) {
     cancelled |= key == "cancelled";
   }
   EXPECT_TRUE(cancelled);
-  EXPECT_EQ(harness.server().stats().cancelled(), 1u);
+  EXPECT_EQ(counter(harness.server(), "cancelled"), 1u);
 }
 
 TEST(Server, DisconnectCancelsInFlightSolveWithoutAffectingOthers) {
@@ -322,14 +363,15 @@ TEST(Server, DisconnectCancelsInFlightSolveWithoutAffectingOthers) {
 
   // The cancellation is observable in the stats (bounded wait: the watch
   // interval plus one cancel-check stride, with a generous margin).
-  const auto& stats = harness.server().stats();
+  Server& server = harness.server();
   const auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds(60);
-  while ((stats.disconnect_cancels() < 1 || stats.cancelled() < 1) &&
+  while ((counter(server, "disconnect_cancels") < 1 ||
+          counter(server, "cancelled") < 1) &&
          std::chrono::steady_clock::now() < give_up) {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
-  EXPECT_EQ(stats.disconnect_cancels(), 1u);
-  EXPECT_EQ(stats.cancelled(), 1u);
+  EXPECT_EQ(counter(server, "disconnect_cancels"), 1u);
+  EXPECT_EQ(counter(server, "cancelled"), 1u);
 
   // And the pool survives: B can still solve.
   other.send_line(
@@ -402,7 +444,7 @@ TEST(Server, StreamedParetoFrontBitIdenticalToInProcessSweepOverTheGrid) {
     EXPECT_TRUE(local.monotone());
     EXPECT_TRUE(core::energy_monotone_in_period(wire_points));
   }
-  EXPECT_EQ(harness.server().stats().errors(), 0u);
+  EXPECT_EQ(counter(harness.server(), "errors"), 0u);
 }
 
 TEST(Server, DisconnectCancelsRemainingSweepGridPoints) {
@@ -428,17 +470,18 @@ TEST(Server, DisconnectCancelsRemainingSweepGridPoints) {
   // ... so the session watch fires the sweep's CancelSource: the running
   // grid points unwind within one check stride and the queued one never
   // really starts. All of it is observable in the stats.
-  const auto& stats = harness.server().stats();
+  Server& server = harness.server();
   const auto give_up =
       std::chrono::steady_clock::now() + std::chrono::seconds(60);
-  while ((stats.disconnect_cancels() < 1 || stats.cancelled() < 3) &&
+  while ((counter(server, "disconnect_cancels") < 1 ||
+          counter(server, "cancelled") < 3) &&
          std::chrono::steady_clock::now() < give_up) {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
-  EXPECT_EQ(stats.disconnect_cancels(), 1u);
-  EXPECT_EQ(stats.cancelled(), 3u);  // every remaining grid point died
-  EXPECT_EQ(stats.sweeps(), 1u);
-  EXPECT_EQ(stats.solves(), 3u);  // one dispatch per grid point
+  EXPECT_EQ(counter(server, "disconnect_cancels"), 1u);
+  EXPECT_EQ(counter(server, "cancelled"), 3u);  // every remaining point died
+  EXPECT_EQ(counter(server, "sweeps"), 1u);
+  EXPECT_EQ(counter(server, "solves"), 3u);  // one dispatch per grid point
 
   // The cancellation is visible over the wire too, and the pool survives.
   WireClient other(harness.port());
@@ -478,8 +521,8 @@ TEST(Server, UnusableSweepAnswersWithAStructuredError) {
   const io::JsonFields fields = io::parse_flat_json(*response);
   EXPECT_EQ(fields.front().first, "type");
   EXPECT_EQ(fields.front().second, "error");
-  EXPECT_EQ(harness.server().stats().errors(), 1u);
-  EXPECT_EQ(harness.server().stats().sweeps(), 0u);
+  EXPECT_EQ(counter(harness.server(), "errors"), 1u);
+  EXPECT_EQ(counter(harness.server(), "sweeps"), 0u);
 }
 
 TEST(Server, PipelinedRequestsAreAllAnsweredInOrder) {
@@ -569,7 +612,7 @@ TEST(Server, StdioEofDoesNotCancelTheInFlightSolve) {
   }
   EXPECT_TRUE(budget);      // the honest end of the bounded search ...
   EXPECT_FALSE(cancelled);  // ... not a misread "client disconnected"
-  EXPECT_EQ(server.stats().disconnect_cancels(), 0u);
+  EXPECT_EQ(counter(server, "disconnect_cancels"), 0u);
 }
 
 TEST(Server, StdioStreamServesBufferedRequestsToEof) {

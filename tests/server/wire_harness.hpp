@@ -21,6 +21,7 @@
 #include "api/registry.hpp"
 #include "gen/random_instances.hpp"
 #include "io/result_io.hpp"
+#include "io/stats_io.hpp"
 #include "net/socket.hpp"
 #include "server/server.hpp"
 #include "tests/support/grid_fixtures.hpp"
@@ -136,6 +137,69 @@ inline std::string comparable(const api::SolveResult& result) {
 
 inline std::string comparable(const std::string& wire_line) {
   return comparable(io::parse_result_line(wire_line).result);
+}
+
+/// The counters every `stats` line carries, in docs/PROTOCOL.md §stats
+/// emission order (a server's line, and a router's merged shard block).
+inline const std::vector<std::string> kStatsCounterKeys = {
+    "requests",  "solves",    "evals",
+    "sweeps",    "errors",    "cancelled",
+    "disconnect_cancels",     "connections"};
+/// The cache counters, present only when the cache is on.
+inline const std::vector<std::string> kStatsCacheKeys = {
+    "cache_hits", "cache_misses", "cache_evictions", "cache_entries"};
+
+/// The keys of a parsed line, in wire order.
+inline std::vector<std::string> keys_of(const io::JsonFields& fields) {
+  std::vector<std::string> keys;
+  for (const auto& [key, value] : fields) keys.push_back(key);
+  return keys;
+}
+
+inline bool starts_with(const std::string& text, const std::string& prefix) {
+  return text.rfind(prefix, 0) == 0;
+}
+
+inline bool ends_with(const std::string& text, const std::string& suffix) {
+  return text.size() >= suffix.size() &&
+         text.compare(text.size() - suffix.size(), suffix.size(), suffix) == 0;
+}
+
+/// `solver.<name>` for each `solver.<name>.latency.n` field of a metrics
+/// line, in its order: the `stats` per-solver keys that line implies.
+inline std::vector<std::string> solver_count_keys(
+    const io::JsonFields& metrics) {
+  const std::string count = ".latency.n";
+  std::vector<std::string> keys;
+  for (const auto& [key, value] : metrics) {
+    if (starts_with(key, "solver.") && ends_with(key, count)) {
+      keys.push_back(key.substr(0, key.size() - count.size()));
+    }
+  }
+  return keys;
+}
+
+/// A `stats` line agrees with the `metrics` line of the same server or
+/// fleet: the same per-solver keys in the same order, each `solver.<name>`
+/// equal to `solver.<name>.latency.n`, and `evals` equal to the sum of the
+/// `solver.<name>.evals` counters.
+inline void expect_stats_agree_with_metrics(const io::JsonFields& stats,
+                                            const io::JsonFields& metrics) {
+  std::vector<std::string> stats_solvers;
+  for (const auto& [key, value] : stats) {
+    if (starts_with(key, "solver.")) stats_solvers.push_back(key);
+  }
+  EXPECT_EQ(stats_solvers, solver_count_keys(metrics));
+  std::uint64_t evals = 0;
+  for (const auto& [key, value] : metrics) {
+    if (!starts_with(key, "solver.")) continue;
+    if (ends_with(key, ".evals")) evals += std::stoull(value);
+    if (ends_with(key, ".latency.n")) {
+      EXPECT_EQ(io::stats_field(stats, key.substr(0, key.size() - 10)), value)
+          << key;
+    }
+  }
+  EXPECT_EQ(io::stats_field(stats, "evals"), std::to_string(evals));
 }
 
 }  // namespace pipeopt::testing_wire

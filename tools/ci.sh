@@ -53,10 +53,9 @@ ctest --test-dir "$BUILD_DIR" -L tier1 --output-on-failure -j "$(nproc)"
 ctest --test-dir "$BUILD_DIR" -L crosscheck --output-on-failure -j "$(nproc)"
 ctest --test-dir "$BUILD_DIR" -L fuzz --output-on-failure -j "$(nproc)"
 
-# Backend cross-check through the CLI: every exact backend this build
-# carries, forced by name via `solve --solver`, must print the same optimum
-# for one Table 1-shaped instance (an OR-tools build adds ortools-cpsat to
-# the list; the comparison is on the printed shortest-round-trip value, so
+# Backend cross-check through the CLI: every exact backend, forced by name
+# via `solve --solver`, must print the same optimum for one Table 1-shaped
+# instance (the comparison is on the printed shortest-round-trip value, so
 # bit-exact backends must collide exactly).
 CROSS_DIR=$(mktemp -d "${TMPDIR:-/tmp}/pipeopt_crosscheck.XXXXXX")
 trap 'rm -rf "$CROSS_DIR"' EXIT
@@ -70,9 +69,6 @@ app A weight=1 input=1 stages=3:3,2:2,1:0
 app B weight=2 input=0 stages=4:1
 PROB
 BACKENDS="branch-and-bound exact-enumeration mip-branch-cut"
-if "$BUILD_DIR/pipeopt" "$CROSS_DIR/cell.txt" list-solvers | grep -q ortools-cpsat; then
-  BACKENDS="$BACKENDS ortools-cpsat"
-fi
 REFERENCE=""
 for BACKEND in $BACKENDS; do
   VALUE=$("$BUILD_DIR/pipeopt" "$CROSS_DIR/cell.txt" solve --objective period \

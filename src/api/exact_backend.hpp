@@ -42,11 +42,6 @@ struct ExactBackendInfo {
   std::string name;     ///< registry solver name ("mip-branch-cut", ...)
   std::string summary;  ///< one-line description for list-solvers
   int rank = 0;         ///< dispatch rank within CostTier::Exact
-  /// True when the backend returns the bit-exact optimum of
-  /// `core::evaluate` arithmetic. Backends that solve a scaled or rounded
-  /// model (e.g. CP-SAT's integer arithmetic) set this false, and the
-  /// cross-check harness compares them within tolerance instead of by bits.
-  bool bit_exact = true;
 };
 
 /// One exact engine behind the seam. Implementations must be stateless
@@ -68,7 +63,7 @@ class ExactBackend {
 
   /// Solves to proven optimality. Returns std::nullopt when no feasible
   /// mapping exists. The returned mapping must re-evaluate (via
-  /// `core::evaluate`) to `value` for bit-exact backends.
+  /// `core::evaluate`) to exactly `value`.
   /// \throws exact::SearchLimitExceeded past request.node_budget,
   ///         exact::SearchCancelled on a fired cancel token.
   [[nodiscard]] virtual std::optional<exact::ExactResult> minimize(

@@ -77,16 +77,26 @@ void Executor::worker_loop() {
       queue_.pop_front();
       ++in_flight_;
     }
-    job();  // packaged_task captures exceptions into the future
-    {
-      const std::lock_guard<std::mutex> lock(mutex_);
-      --in_flight_;
-    }
+    job();  // leaves in_flight_ itself; exceptions land in the future
   }
 }
 
-std::future<SolveResult> Executor::enqueue(
-    std::packaged_task<SolveResult()> job) {
+template <class Work>
+std::future<SolveResult> Executor::enqueue(Work work) {
+  // The job leaves the in-flight count before packaged_task publishes its
+  // result (the guard unwinds on return and on throw alike), so a caller
+  // that holds its answer never still sees the job in pending().
+  std::packaged_task<SolveResult()> job(
+      [this, work = std::move(work)]() mutable {
+        struct Leave {
+          Executor* executor;
+          ~Leave() {
+            const std::lock_guard<std::mutex> lock(executor->mutex_);
+            --executor->in_flight_;
+          }
+        } const leave{this};
+        return work();
+      });
   std::future<SolveResult> future = job.get_future();
   {
     const std::lock_guard<std::mutex> lock(mutex_);
@@ -130,21 +140,21 @@ std::future<SolveResult> Executor::solve_async(core::Problem problem,
       ready.set_value(std::move(*hit));
       return ready.get_future();
     }
-    return enqueue(std::packaged_task<SolveResult()>(
+    return enqueue(
         [this, problem = std::move(problem), request = std::move(request),
          key = std::move(key), trace, enqueued = enqueue_stamp(trace)] {
           record_queue_wait(trace, enqueued);
           SolveResult result = registry_->solve(problem, request);
           cache_store(key, request, result);
           return result;
-        }));
+        });
   }
-  return enqueue(std::packaged_task<SolveResult()>(
+  return enqueue(
       [registry = registry_, problem = std::move(problem),
        request = std::move(request), trace, enqueued = enqueue_stamp(trace)] {
         record_queue_wait(trace, enqueued);
         return registry->solve(problem, request);
-      }));
+      });
 }
 
 BatchResult Executor::solve_batch(std::span<const core::Problem> problems,
@@ -172,16 +182,16 @@ BatchResult Executor::solve_batch(std::span<const core::Problem> problems,
         futures.push_back(ready.get_future());
         continue;
       }
-      futures.push_back(enqueue(std::packaged_task<SolveResult()>(
-          [this, dispatch, &request, &problem, key = std::move(key)] {
+      futures.push_back(
+          enqueue([this, dispatch, &request, &problem, key = std::move(key)] {
             SolveResult result = dispatch->bind(problem).execute();
             cache_store(key, request, result);
             return result;
-          })));
+          }));
       continue;
     }
-    futures.push_back(enqueue(std::packaged_task<SolveResult()>(
-        [dispatch, &problem] { return dispatch->bind(problem).execute(); })));
+    futures.push_back(enqueue(
+        [dispatch, &problem] { return dispatch->bind(problem).execute(); }));
   }
   batch.results.reserve(futures.size());
   for (auto& future : futures) batch.results.push_back(future.get());
@@ -221,12 +231,12 @@ ParetoFront Executor::sweep(const core::Problem& problem,
         futures.reserve(requests.size());
         for (SolveRequest& point : requests) {
           obs::TraceContext* const trace = point.trace;
-          futures.push_back(enqueue(std::packaged_task<SolveResult()>(
+          futures.push_back(enqueue(
               [this, &plan, &problem, point = std::move(point), trace,
                enqueued = enqueue_stamp(trace)] {
                 record_queue_wait(trace, enqueued);
                 return execute_point(plan, problem, point);
-              })));
+              }));
         }
         std::vector<SolveResult> results;
         results.reserve(futures.size());

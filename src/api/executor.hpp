@@ -141,7 +141,9 @@ class Executor {
 
  private:
   void worker_loop();
-  std::future<SolveResult> enqueue(std::packaged_task<SolveResult()> job);
+  /// Queues `work` (a callable returning SolveResult) as one pool job.
+  template <class Work>
+  std::future<SolveResult> enqueue(Work work);
 
   /// The shared cache policy, split into its two decision points so
   /// solve_async, solve_batch and execute_point cannot drift: whether this

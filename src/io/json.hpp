@@ -22,11 +22,18 @@
 
 namespace pipeopt::io {
 
-/// Thrown on malformed input; the message names the line number.
+/// Thrown on malformed input; the message names the line number. `code` is
+/// the typed wire error code a session answers with ("" for a plain
+/// parse error, which carries none).
 class ParseError : public std::runtime_error {
  public:
-  ParseError(std::size_t line, const std::string& what)
-      : std::runtime_error("line " + std::to_string(line) + ": " + what) {}
+  ParseError(std::size_t line, const std::string& what, const char* code = "")
+      : std::runtime_error("line " + std::to_string(line) + ": " + what),
+        code_(code) {}
+  [[nodiscard]] const char* code() const noexcept { return code_; }
+
+ private:
+  const char* code_;
 };
 
 /// Ordered fields of one flat JSON object.

@@ -105,11 +105,18 @@ struct SolveFieldReader {
         throw ParseError(line_no, std::string("instance error: ") + e.what());
       }
     } else if (key == "path") {
+      // Only a local manifest names a directory. A session has none, and
+      // must not open a file its client names: the file's bytes would
+      // echo back in the error, and a FIFO would block the session.
+      if (base_dir.empty()) {
+        throw ParseError(line_no,
+                         "\"path\" is not accepted on a session; send the "
+                         "instance inline as \"problem\"",
+                         "path-refused");
+      }
       if (problem) throw ParseError(line_no, "duplicate instance field");
       std::string path = value;
-      if (!base_dir.empty() && !path.empty() && path.front() != '/') {
-        path = base_dir + "/" + path;
-      }
+      if (!path.empty() && path.front() != '/') path = base_dir + "/" + path;
       try {
         problem = load_problem(path);
       } catch (const std::exception& e) {

@@ -15,8 +15,11 @@
 /// ```
 ///
 /// `problem` carries the instance inline in the text format of
-/// problem_io.hpp (lossless for every platform class); `path` loads it
-/// from a file instead — exactly one of the two. Every other field is
+/// problem_io.hpp (lossless for every platform class). `path` loads it
+/// from a file instead, but only for a caller that names a local
+/// manifest directory (`base_dir`); a session names none, so a `path`
+/// line is refused with code `path-refused` and no file is opened.
+/// Exactly one of the two carries the instance. Every other field is
 /// optional and defaults to the corresponding `SolveRequest` default;
 /// bounds are comma lists with either one value (replicated per
 /// application, like the CLI) or one value per application. `id` is an
@@ -54,8 +57,9 @@ struct WireSolveRequest {
 };
 
 /// Decodes already-parsed fields (the server parses the line once to read
-/// "type", then hands the fields over). Relative "path" values resolve
-/// against `base_dir`. \throws ParseError naming `line_no`.
+/// "type", then hands the fields over). "path" values resolve against
+/// `base_dir` when relative, and are refused when `base_dir` is empty.
+/// \throws ParseError naming `line_no`.
 [[nodiscard]] WireSolveRequest parse_solve_request(
     const JsonFields& fields, std::size_t line_no = 1,
     const std::string& base_dir = {});

@@ -106,9 +106,9 @@ struct WireParetoSummary {
 /// One structured `{"type":"error",...}` response line — the shared error
 /// serialization of the server and the router, so their bytes cannot
 /// drift. Field order: type, id (omitted when empty), code (omitted when
-/// empty — the server's parse/validation errors carry none; the router's
-/// typed failures use "overloaded", "unavailable" and "shard-lost"),
-/// message.
+/// empty — the server's parse/validation errors carry none but
+/// "path-refused"; the router's typed failures use "overloaded",
+/// "unavailable" and "shard-lost"), message.
 [[nodiscard]] std::string format_error(const std::string& message,
                                        const std::string& id = {},
                                        const std::string& code = {});

@@ -3,6 +3,7 @@
 #include <arpa/inet.h>
 #include <fcntl.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/time.h>
 #include <unistd.h>
@@ -43,6 +44,14 @@ bool parse_address(const std::string& host, std::uint16_t port,
   return ::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) == 1;
 }
 
+/// Sends every write as soon as it is made. The tiers write one line per
+/// write, so with Nagle a streamed answer's second line waits for the
+/// peer's delayed ACK (~40 ms) on every hop.
+void set_nodelay(int fd) {
+  const int one = 1;
+  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
+}
+
 /// Closes `fd` without clobbering errno; returns -1 for the caller.
 int fail(int fd) {
   const int saved = errno;
@@ -66,6 +75,7 @@ int connect(const std::string& host, std::uint16_t port,
   ignore_sigpipe();
   const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
   if (fd < 0) return -1;
+  set_nodelay(fd);
   if (timeout.count() > 0) {
     timeval tv{};
     tv.tv_sec = static_cast<time_t>(timeout.count() / 1000);
@@ -181,6 +191,7 @@ void Listener::run(const Session& session, FaultInjector* fault) {
     if ((fds[0].revents & POLLIN) == 0) continue;
     const int client = ::accept4(fd_, nullptr, nullptr, SOCK_CLOEXEC);
     if (client < 0) continue;
+    set_nodelay(client);
     if (fault != nullptr && fault->accept_should_close()) {
       // Injected accept-then-close: the peer sees its connection die
       // before a byte moves — the request provably never executed, so a

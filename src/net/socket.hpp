@@ -8,9 +8,12 @@
 /// util/fdio.hpp; fault injection hooks in through net/fault.hpp.
 ///
 /// Every fd this module opens is close-on-exec (the router forks shard
-/// children while sessions run), and SIGPIPE is ignored process-wide the
-/// first time a socket is made, so a vanished peer surfaces as a write
-/// error on every path instead of killing the process.
+/// children while sessions run), and every connection it makes or accepts
+/// is TCP_NODELAY (one write per line, and streamed multi-line answers, so
+/// Nagle would hold each next line for the peer's delayed ACK). SIGPIPE is
+/// ignored process-wide the first time a socket is made, so a vanished
+/// peer surfaces as a write error on every path instead of killing the
+/// process.
 
 #include <sys/socket.h>
 

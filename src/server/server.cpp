@@ -30,8 +30,8 @@ constexpr auto kWatchInterval = std::chrono::milliseconds(10);
 using util::FdLineReader;
 using util::write_line;
 
-std::string error_line(const std::string& id, const std::string& message) {
-  return io::format_error(message, id);
+std::string error_line(const std::string& id, const io::ParseError& error) {
+  return io::format_error(error.what(), id, error.code());
 }
 
 /// Best-effort id extraction so even a semantically broken request gets
@@ -195,7 +195,7 @@ void Server::handle_line(const std::string& line, int out_fd, int watch_fd,
     fields = io::parse_flat_json(line);
   } catch (const io::ParseError& e) {
     errors_.add();
-    send_line(out_fd, error_line("", e.what()));
+    send_line(out_fd, error_line("", e));
     return;
   }
   const std::string id = peek_id(fields);
@@ -255,7 +255,7 @@ void Server::handle_line(const std::string& line, int out_fd, int watch_fd,
       wire = io::parse_pareto_request(fields);
     } catch (const io::ParseError& e) {
       errors_.add();
-      send_line(out_fd, error_line(id, e.what()));
+      send_line(out_fd, error_line(id, e));
       return;
     }
     // Reject unusable sweeps before spawning any work (the driver would
@@ -263,7 +263,7 @@ void Server::handle_line(const std::string& line, int out_fd, int watch_fd,
     if (const std::string error = api::validate_sweep(wire->request);
         !error.empty()) {
       errors_.add();
-      send_line(out_fd, error_line(id, error));
+      send_line(out_fd, io::format_error(error, id));
       return;
     }
 
@@ -317,7 +317,8 @@ void Server::handle_line(const std::string& line, int out_fd, int watch_fd,
 
   if (type != "solve") {
     errors_.add();
-    send_line(out_fd, error_line(id, "unknown request type '" + type + "'"));
+    send_line(out_fd,
+              io::format_error("unknown request type '" + type + "'", id));
     return;
   }
 
@@ -326,7 +327,7 @@ void Server::handle_line(const std::string& line, int out_fd, int watch_fd,
     wire = io::parse_solve_request(fields);
   } catch (const io::ParseError& e) {
     errors_.add();
-    send_line(out_fd, error_line(id, e.what()));
+    send_line(out_fd, error_line(id, e));
     return;
   }
 

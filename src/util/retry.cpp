@@ -22,7 +22,8 @@ Retryability classify_error_code(const std::string& code) {
   if (code == "shard-lost") {
     return Retryability::IfIdempotent;  // shard died mid-flight; may have run
   }
-  // "", "expired", parse errors, unknown future codes: permanent.
+  // "", "expired", "path-refused", parse errors, unknown future codes:
+  // permanent.
   return Retryability::No;
 }
 

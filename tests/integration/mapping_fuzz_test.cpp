@@ -11,7 +11,6 @@
 #include <gtest/gtest.h>
 
 #include <array>
-#include <cmath>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -199,13 +198,7 @@ TEST_P(PropertyFuzz, ExactBackendsAgree) {
       continue;
     }
     ASSERT_TRUE(outcome.has_value()) << backend->info().name;
-    if (backend->info().bit_exact) {
-      EXPECT_EQ(outcome->value, *reference) << backend->info().name;
-    } else {
-      EXPECT_NEAR(outcome->value, *reference,
-                  1e-5 * (1.0 + std::abs(*reference)))
-          << backend->info().name;
-    }
+    EXPECT_EQ(outcome->value, *reference) << backend->info().name;
   }
   ASSERT_TRUE(reference.has_value());  // enumeration supports everything
 }

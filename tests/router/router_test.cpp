@@ -499,5 +499,19 @@ TEST(Router, GracefulShutdownDrainsSessions) {
   }
 }
 
+TEST(Router, PathFieldIsRefusedWithoutOpeningTheFile) {
+  // Neither the router (which parses solve lines for their routing key)
+  // nor the shard it relays to may open a file the client names.
+  const testing_wire::PathTargets targets("router-path");
+  TestFleet fleet(2);
+  WireClient client(fleet.port());
+  ASSERT_TRUE(client.connected());
+  const std::vector<std::string> lines = targets.request_lines();
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    client.send_line(lines[i]);
+    testing_wire::expect_path_refused(client.recv_line(), i);
+  }
+}
+
 }  // namespace
 }  // namespace pipeopt::router

@@ -26,7 +26,9 @@
 #include "gen/random_instances.hpp"
 #include "io/request_io.hpp"
 #include "io/result_io.hpp"
+#include "io/stats_io.hpp"
 #include "tests/server/wire_harness.hpp"
+#include "util/fdio.hpp"
 
 namespace pipeopt::server {
 namespace {
@@ -657,6 +659,86 @@ TEST(Server, StdioStreamServesBufferedRequestsToEof) {
   EXPECT_TRUE(solve.result.solved());
   EXPECT_NE(lines[1].find("\"type\":\"stats\""), std::string::npos);
   EXPECT_NE(lines[1].find("\"id\":\"s1\""), std::string::npos);
+}
+
+TEST(Server, StatsAfterAnAnsweredSolveReportsNothingPending) {
+  // Every solve is followed by a stats line, so the session reads that
+  // line right after writing the answer: by then the finished job must
+  // have left the pool's in-flight count. Client threads write requests
+  // and read answers while the session runs, as over a live connection.
+  int in_pipe[2], out_pipe[2];
+  ASSERT_EQ(::pipe(in_pipe), 0);
+  ASSERT_EQ(::pipe(out_pipe), 0);
+  const std::string round =
+      io::format_solve_request(gen::motivating_example(), api::SolveRequest{}) +
+      "\n" R"({"type":"stats"})" "\n";
+  constexpr std::size_t kRounds = 100;
+  std::thread writer([&] {
+    for (std::size_t i = 0; i < kRounds; ++i) {
+      EXPECT_EQ(::write(in_pipe[1], round.data(), round.size()),
+                static_cast<ssize_t>(round.size()));
+    }
+    ::close(in_pipe[1]);
+  });
+  std::size_t stats_lines = 0, busy = 0;
+  std::thread reader([&] {
+    util::FdLineReader answers(out_pipe[0]);
+    std::string line;
+    while (answers.next_line(line)) {
+      const io::JsonFields fields = io::parse_flat_json(line);
+      if (io::stats_field(fields, "type") != "stats") continue;
+      ++stats_lines;
+      busy += io::stats_field(fields, "pending") != "0";
+    }
+  });
+  Server server(ServerOptions{.jobs = 1});
+  server.serve_stream(in_pipe[0], out_pipe[1]);
+  ::close(out_pipe[1]);
+  writer.join();
+  reader.join();
+  ::close(in_pipe[0]);
+  ::close(out_pipe[0]);
+  EXPECT_EQ(stats_lines, kRounds);
+  EXPECT_EQ(busy, 0u);
+}
+
+TEST(Server, PathFieldIsRefusedWithoutOpeningTheFile) {
+  const testing_wire::PathTargets targets("server-path");
+  TestServer harness(1);
+  WireClient client(harness.port());
+  ASSERT_TRUE(client.connected());
+  const std::vector<std::string> lines = targets.request_lines();
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    client.send_line(lines[i]);
+    testing_wire::expect_path_refused(client.recv_line(), i);
+  }
+  EXPECT_EQ(counter(harness.server(), "errors"), lines.size());
+}
+
+TEST(Server, StdioSessionRefusesThePathField) {
+  const testing_wire::PathTargets targets("stdio-path");
+  int in_pipe[2], out_pipe[2];
+  ASSERT_EQ(::pipe(in_pipe), 0);
+  ASSERT_EQ(::pipe(out_pipe), 0);
+  std::string input;
+  for (const std::string& line : targets.request_lines()) input += line + "\n";
+  ASSERT_EQ(::write(in_pipe[1], input.data(), input.size()),
+            static_cast<ssize_t>(input.size()));
+  ::close(in_pipe[1]);
+
+  Server server(ServerOptions{.jobs = 1});
+  server.serve_stream(in_pipe[0], out_pipe[1]);
+  ::close(out_pipe[1]);
+  ::close(in_pipe[0]);
+
+  util::FdLineReader reader(out_pipe[0]);
+  std::string line;
+  std::size_t answered = 0;
+  while (reader.next_line(line)) {
+    testing_wire::expect_path_refused(line, answered++);
+  }
+  ::close(out_pipe[0]);
+  EXPECT_EQ(answered, targets.request_lines().size());
 }
 
 }  // namespace

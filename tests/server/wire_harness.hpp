@@ -9,9 +9,11 @@
 
 #include <gtest/gtest.h>
 #include <sys/socket.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <cstdint>
+#include <fstream>
 #include <optional>
 #include <string>
 #include <thread>
@@ -200,6 +202,61 @@ inline void expect_stats_agree_with_metrics(const io::JsonFields& stats,
     }
   }
   EXPECT_EQ(io::stats_field(stats, "evals"), std::to_string(evals));
+}
+
+/// A readable file and a FIFO that nothing writes to, named by `path`
+/// request lines: a session must refuse both without opening either
+/// (opening the FIFO would block the session for good).
+class PathTargets {
+ public:
+  static constexpr const char* kSecret = "secret-file-bytes-7f3a";
+
+  explicit PathTargets(const std::string& name)
+      : dir_(::testing::TempDir() + name + "-" + std::to_string(::getpid())),
+        file_(dir_ + "/secret.txt"),
+        fifo_(dir_ + "/fifo") {
+    ::mkdir(dir_.c_str(), 0700);
+    std::ofstream(file_) << kSecret << "\n";
+    ::unlink(fifo_.c_str());
+    EXPECT_EQ(::mkfifo(fifo_.c_str(), 0600), 0);
+  }
+
+  ~PathTargets() {
+    ::unlink(file_.c_str());
+    ::unlink(fifo_.c_str());
+    ::rmdir(dir_.c_str());
+  }
+
+  /// A solve and a pareto line naming each target, with ids p0..p3.
+  [[nodiscard]] std::vector<std::string> request_lines() const {
+    std::vector<std::string> lines;
+    for (const std::string& path : {file_, fifo_}) {
+      for (const char* head :
+           {R"({"type":"solve")", R"({"type":"pareto","sweep_bounds":"1,2")"}) {
+        lines.push_back(head + std::string(R"(,"id":"p)") +
+                        std::to_string(lines.size()) + R"(","path":")" + path +
+                        "\"}");
+      }
+    }
+    return lines;
+  }
+
+ private:
+  std::string dir_, file_, fifo_;
+};
+
+/// The answer to request_lines()[index]: the typed, never-retryable
+/// `path-refused` error under the request's id, with none of the file.
+inline void expect_path_refused(const std::optional<std::string>& answer,
+                                std::size_t index) {
+  ASSERT_TRUE(answer.has_value());
+  EXPECT_EQ(answer->find(PathTargets::kSecret), std::string::npos) << *answer;
+  const io::JsonFields fields = io::parse_flat_json(*answer);
+  EXPECT_EQ(keys_of(fields),
+            (std::vector<std::string>{"type", "id", "code", "message"}));
+  EXPECT_EQ(io::stats_field(fields, "type"), "error");
+  EXPECT_EQ(io::stats_field(fields, "id"), "p" + std::to_string(index));
+  EXPECT_EQ(io::stats_field(fields, "code"), "path-refused") << *answer;
 }
 
 }  // namespace pipeopt::testing_wire

@@ -226,10 +226,11 @@ echo "ci: server smoke green (3 objectives + 1 pareto sweep bit-identical over T
 
 # Router smoke: a spawn-mode fleet (route --spawn forks two pipeopt-server
 # children and supervises them). Byte-identity through the front tier for
-# every objective and a streamed pareto sweep, then the recovery story:
-# SIGKILL one shard, drive traffic through the failover path (every
-# request must still be answered — the router retries admitted requests on
-# the surviving shard), and poll the merged stats until the supervisor has
+# every objective and a streamed pareto sweep, and the idle fleet's stats
+# must say "pending":"0". Then the recovery story: SIGKILL one shard,
+# drive traffic through the failover path (every request must still be
+# answered — the router retries admitted requests on the surviving
+# shard), and poll the merged stats until the supervisor has
 # respawned the child (restarts >= 1, shards_up back to 2). Post-recovery
 # traffic must be byte-identical again. SIGTERM must drain and exit 0.
 "$BIN" route --spawn 2 --jobs 2 --health-interval-ms 100 \
@@ -263,6 +264,14 @@ done
 sed 's/,"wall_s":"[^"]*"//' "$SMOKE_DIR/routed_pareto.jsonl" > "$SMOKE_DIR/routed_pareto.cmp"
 diff "$SMOKE_DIR/routed_pareto.cmp" "$SMOKE_DIR/pareto_local.cmp" || {
   echo "ci: routed pareto front diverged from the CLI sweep" >&2; exit 1;
+}
+# Every answer is in, so the fleet is idle: no shard may still count a
+# finished job as pending (the merged stats sum the shards' counts).
+printf '{"type":"stats"}\n' | "$BIN" client --port "$RPORT" - \
+    > "$SMOKE_DIR/router_idle.jsonl"
+grep -q '"pending":"0"' "$SMOKE_DIR/router_idle.jsonl" || {
+  echo "ci: idle fleet reports pending work: $(cat "$SMOKE_DIR/router_idle.jsonl")" >&2
+  exit 1
 }
 
 # SIGKILL-recovery: murder shard 0 (its pid is in the announce lines),

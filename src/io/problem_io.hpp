@@ -27,10 +27,16 @@
 /// ```
 ///
 /// All p `link` rows and all A `input`/`output` rows are then required.
+/// Lines end at `\n`, and `#` comments run to the line's end. Tokens are
+/// split on space, `\t`, `\r`, `\v` and `\f`; a line of only these is
+/// blank. A number is a token `strtod` consumes whole, out-of-range values
+/// (overflow, subnormals) rejected: `1.`, `.5`, `+1`, `0x10` and `inf`
+/// parse, `1e400` and `1e-310` do not. A list drops one trailing comma
+/// (`speeds=1,2,` is `[1,2]`); an empty item (`1,,2`) is a bad number.
 /// Numbers are emitted by `format_problem` in shortest round-trip form, so
 /// parse(format(problem)) reproduces the instance bit for bit — the
-/// property the pipeopt-server wire format builds on. `parse_problem`
-/// reports the offending line on error (io::ParseError, from json.hpp).
+/// property the pipeopt-server wire format builds on. The parser reports
+/// the offending line on error (io::ParseError, from json.hpp).
 
 #include <iosfwd>
 #include <string>
@@ -41,10 +47,7 @@
 
 namespace pipeopt::io {
 
-/// Parses the text format from a stream.
-[[nodiscard]] core::Problem parse_problem(std::istream& in);
-
-/// Parses from a string (convenience for tests).
+/// Parses the text format. \throws ParseError naming the offending line.
 [[nodiscard]] core::Problem parse_problem_string(const std::string& text);
 
 /// Parses from a file. \throws std::runtime_error when unreadable.
@@ -70,8 +73,8 @@ namespace pipeopt::io {
 [[nodiscard]] std::vector<core::Problem> load_batch(const std::string& path);
 
 /// Serializes a problem back to the text format, uniform-bandwidth or
-/// fully heterogeneous alike; parse_problem(format_problem(p)) rebuilds the
-/// identical instance (shortest round-trip number formatting).
+/// fully heterogeneous alike; parse_problem_string(format_problem(p))
+/// rebuilds the identical instance (shortest round-trip number formatting).
 [[nodiscard]] std::string format_problem(const core::Problem& problem);
 
 }  // namespace pipeopt::io

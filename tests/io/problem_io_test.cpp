@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "core/evaluation.hpp"
 #include "gen/motivating_example.hpp"
 #include "gen/random_instances.hpp"
@@ -109,6 +114,160 @@ TEST(ProblemIo, ErrorsNameTheLine) {
   expect_error("processor P static=0 speeds=1\n"
                "app A weight=1 input=0 stages=1:0\n",
                "bandwidth not declared");
+}
+
+TEST(ProblemIo, NumberSpellingTable) {
+  // The instance language's number spelling: a token is a number when
+  // strtod consumes all of it without ERANGE (so subnormals and overflow
+  // are rejected), and a list is split on ',' with one trailing comma
+  // dropped. Each spelling sits in a `speeds=` list on line 3.
+  struct Case {
+    std::string speeds;
+    std::vector<double> accepted;  // empty: rejected with `error`
+    std::string error;
+  };
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<Case> cases = {
+      {"1.", {1.0}, ""},
+      {".5", {0.5}, ""},
+      {"+1", {1.0}, ""},
+      {"0x10", {16.0}, ""},
+      {"inf", {inf}, ""},
+      {"INFINITY", {inf}, ""},
+      {"1e3", {1000.0}, ""},
+      {"1E+3", {1000.0}, ""},
+      {"1,2,", {1.0, 2.0}, ""},
+      {"1e400", {}, "line 3: bad number '1e400'"},
+      {"1e-310", {}, "line 3: bad number '1e-310'"},
+      {"5e-324", {}, "line 3: bad number '5e-324'"},
+      {"1e-400", {}, "line 3: bad number '1e-400'"},
+      {"1,,2", {}, "line 3: bad number ''"},
+      {"1,2,,", {}, "line 3: bad number ''"},
+      {",", {}, "line 3: bad number ''"},
+      {"1.5x", {}, "line 3: bad number '1.5x'"},
+      {"1e", {}, "line 3: bad number '1e'"},
+      {"0x", {}, "line 3: bad number '0x'"},
+      {"--1", {}, "line 3: bad number '--1'"},
+      {"1:2", {}, "line 3: bad number '1:2'"},
+      {"x", {}, "line 3: bad number 'x'"},
+      {"", {}, "line 3: empty list"},
+      {"nan", {}, "line 3: Processor: speeds must be > 0"},
+  };
+  for (const Case& c : cases) {
+    const std::string text =
+        "comm overlap\nbandwidth 1\nprocessor P static=0 speeds=" + c.speeds +
+        "\napp A weight=1 input=0 stages=1:0\n";
+    if (c.error.empty()) {
+      EXPECT_EQ(parse_problem_string(text).platform().processor(0).speeds(),
+                c.accepted)
+          << c.speeds;
+      continue;
+    }
+    try {
+      (void)parse_problem_string(text);
+      ADD_FAILURE() << "accepted '" << c.speeds << "'";
+    } catch (const ParseError& e) {
+      EXPECT_EQ(std::string(e.what()), c.error) << c.speeds;
+    }
+  }
+}
+
+TEST(ProblemIo, ParseErrorTextTable) {
+  // Every ParseError branch of the instance parser, with its exact text:
+  // error lines are wire bytes. End-of-input errors name the last line
+  // the way std::getline counts them (a final '\n' opens no new line).
+  const std::string het =
+      "comm overlap\n"
+      "processor P static=0 speeds=1\nprocessor Q static=0 speeds=1\n"
+      "app A weight=1 input=0 stages=1:0\n";
+  const std::string complete_rows =
+      "link 0 1,1\nlink 1 1,1\ninput 0 1,1\noutput 0 1,1\n";
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {"frobnicate 3\n", "line 1: unknown directive 'frobnicate'"},
+      {"# note\n  Comm overlap\n", "line 2: unknown directive 'Comm'"},
+      {"comm\n", "line 1: comm takes one value"},
+      {"comm overlap no-overlap\n", "line 1: comm takes one value"},
+      {"comm sideways\n", "line 1: comm must be overlap or no-overlap"},
+      {"alpha\n", "line 1: alpha takes one value"},
+      {"alpha 2 3\n", "line 1: alpha takes one value"},
+      {"bandwidth\n", "line 1: bandwidth takes one value"},
+      {"bandwidth 1 2\n", "line 1: bandwidth takes one value"},
+      {"bandwidth x\n", "line 1: bad number 'x'"},
+      {"processor\n", "line 1: processor needs a name"},
+      {"processor P speeds=1\n", "line 1: missing static=..."},
+      {"processor P static=0\n", "line 1: missing speeds=..."},
+      {"processor P static=0 speeds=\n", "line 1: empty list"},
+      {"processor P static=-1 speeds=1\n",
+       "line 1: Processor: static energy must be >= 0"},
+      {"processor P static=0 speeds=-1\n",
+       "line 1: Processor: speeds must be > 0"},
+      {"app\n", "line 1: app needs a name"},
+      {"app A input=0 stages=1:0\n", "line 1: missing weight=..."},
+      {"app A weight=1 stages=1:0\n", "line 1: missing input=..."},
+      {"app A weight=1 input=0\n", "line 1: missing stages=..."},
+      {"app A weight=1 input=0 stages=3;2\n",
+       "line 1: stage must be w:delta, got '3;2'"},
+      {"app A weight=1 input=0 stages=1:0,,2:0\n",
+       "line 1: stage must be w:delta, got ''"},
+      {"app A weight=1 input=0 stages=x:1\n", "line 1: bad number 'x'"},
+      {"app A weight=1 input=0 stages=1:2:3\n", "line 1: bad number '2:3'"},
+      {"app A weight=1 input=0 stages=1:\n", "line 1: bad number ''"},
+      {"app A weight=1 input=0 stages=\n",
+       "line 1: Application: must have at least one stage"},
+      {"app A weight=0 input=0 stages=1:0\n",
+       "line 1: Application: weight W_a must be > 0"},
+      {"link 0\n", "line 1: link takes an index and a list"},
+      {"input 0 1 2\n", "line 1: input takes an index and a list"},
+      {"output\n", "line 1: output takes an index and a list"},
+      {"link -1 1\n", "line 1: bad index '-1'"},
+      {"link 1.5 1\n", "line 1: bad index '1.5'"},
+      {"link 1e300 1\n", "line 1: bad index '1e300'"},
+      {"link inf 1\n", "line 1: bad index 'inf'"},
+      {"link x 1\n", "line 1: bad number 'x'"},
+      {"link 0 1,x\n", "line 1: bad number 'x'"},
+      {het + "link 0 1,1\nlink 0 1,1\nlink 1 1,1\ninput 0 1,1\noutput 0 1,1\n",
+       "line 6: duplicate link row 0"},
+      {het + "link 0 1,1\ninput 0 1,1\noutput 0 1,1\n",
+       "line 7: missing link row 1"},
+      // Several tables at fault: output rows are checked first, then
+      // input, then link.
+      {het + "link 0 1,1\ninput 0 1,1\n", "line 6: missing output row 0"},
+      {het + "link 0 1,1\n", "line 5: missing output row 0"},
+      {het + "link 0 1,1\noutput 0 1,1\n", "line 6: missing input row 0"},
+      {het + "link 0 1,1\nlink 1 1,1\ninput 0 1,1\n",
+       "line 7: missing output row 0"},
+      {het + "link 0 1,1\nlink 7 1,1\ninput 0 1,1\noutput 0 1,1\n",
+       "line 6: link index 7 out of range (have 2)"},
+      {het + "link 0 1\nlink 1 1,1\ninput 0 1,1\noutput 0 1,1\n",
+       "line 5: link row 0 needs 2 values, got 1"},
+      {het + "link 0 1,1\nlink 1 1,1\ninput 0 1,1\noutput 3 1,1\n",
+       "line 8: output index 3 out of range (have 1)"},
+      {het + "link 0 1,2\nlink 1 1,1\ninput 0 1,1\noutput 0 1,1\n",
+       "line 8: Platform: links are bidirectional (symmetric)"},
+      {het + "bandwidth 1\n" + complete_rows,
+       "line 9: bandwidth and link/input/output rows are exclusive"},
+      {"", "line 0: no processors declared"},
+      {"\n\n", "line 2: no processors declared"},
+      {"bandwidth 1", "line 1: no processors declared"},
+      {"bandwidth 1\napp A weight=1 input=0 stages=1:0\n",
+       "line 2: no processors declared"},
+      {"bandwidth 1\n\n# trailing\n   \t\n", "line 4: no processors declared"},
+      {"bandwidth 1\nprocessor P static=0 speeds=1\n",
+       "line 2: no applications declared"},
+      {"processor P static=0 speeds=1\napp A weight=1 input=0 stages=1:0\n",
+       "line 2: bandwidth not declared"},
+      {"alpha 1\nbandwidth 1\nprocessor P static=0 speeds=1\n"
+       "app A weight=1 input=0 stages=1:0\n",
+       "line 4: Platform: energy exponent alpha must be > 1"},
+  };
+  for (const auto& [text, error] : cases) {
+    try {
+      (void)parse_problem_string(text);
+      ADD_FAILURE() << "accepted: " << text;
+    } catch (const ParseError& e) {
+      EXPECT_EQ(std::string(e.what()), error) << text;
+    }
+  }
 }
 
 TEST(ProblemIo, DomainValidationPropagates) {

@@ -1,10 +1,11 @@
 /// \file wire_fuzz_test.cpp
 /// Seeded robustness fuzz over the wire protocol (io/request_io,
-/// io/result_io): shuffled field orders, duplicated fields, unknown keys,
-/// truncated lines and random byte mutations must either round-trip to the
-/// canonical bytes or surface as a typed io::ParseError — never crash, never
-/// throw anything else. Runs under the `fuzz` ctest label and in the
-/// ASan/UBSan CI pass.
+/// io/result_io, and the io/problem_io instance text a request carries):
+/// shuffled field orders, duplicated fields, unknown keys, truncated lines,
+/// random byte mutations and edits inside the instance text must either
+/// round-trip to the canonical bytes or surface as a typed io::ParseError —
+/// never crash, never throw anything else. Runs under the `fuzz` ctest
+/// label and in the ASan/UBSan CI pass.
 
 #include <gtest/gtest.h>
 
@@ -221,6 +222,59 @@ TEST_P(WireFuzz, RandomByteMutationsNeverCrash) {
       (void)parses(parse_request, mutated);
     } else {
       (void)parses(parse_result_l, mutated);
+    }
+  }
+}
+
+TEST_P(WireFuzz, MutatedInstanceTextParsesOrThrowsTyped) {
+  // Byte edits inside the instance text itself (the `problem` value), drawn
+  // from the bytes its grammar splits on: every whitespace control, line
+  // and comment breaks, list and key separators, and number characters.
+  // A mutant either is a typed ParseError or decodes to an instance whose
+  // canonical key round-trips through parse unchanged.
+  util::Rng rng(seed() * 130363 + 37);
+  JsonFields fields = parse_flat_json(canonical_request_line(seed()));
+  std::size_t problem_at = fields.size();
+  for (std::size_t i = 0; i < fields.size(); ++i) {
+    if (fields[i].first == "problem") problem_at = i;
+  }
+  ASSERT_LT(problem_at, fields.size());
+  const std::string text = fields[problem_at].second;
+  const std::string alphabet = " \t\r\v\f\n#,:=.-e0123456789";
+
+  std::vector<std::string> corpus = {"\v", "\f"};
+  for (int round = 0; round < 200; ++round) {
+    std::string mutated = text;
+    const std::size_t edits = 1 + rng.index(4);
+    for (std::size_t e = 0; e < edits; ++e) {
+      const char byte = alphabet[rng.index(alphabet.size())];
+      const std::size_t op = mutated.empty() ? 0 : rng.index(3);
+      if (op == 0) {
+        mutated.insert(mutated.begin() + static_cast<std::ptrdiff_t>(
+                                             rng.index(mutated.size() + 1)),
+                       byte);
+      } else if (op == 1) {
+        mutated[rng.index(mutated.size())] = byte;
+      } else {
+        mutated.erase(rng.index(mutated.size()), 1);
+      }
+    }
+    corpus.push_back(std::move(mutated));
+  }
+
+  for (const std::string& instance : corpus) {
+    fields[problem_at].second = instance;
+    const std::string line = rebuild_line(fields);
+    if (!parses(parse_request, line)) continue;  // typed rejection
+    const WireSolveRequest wire = parse_solve_request_line(line);
+    const std::string key = format_solve_key(wire.problem, wire.request);
+    try {
+      const WireSolveRequest again = parse_solve_request_line(key);
+      EXPECT_EQ(format_solve_key(again.problem, again.request), key)
+          << json_quote(instance);
+    } catch (const ParseError& e) {
+      ADD_FAILURE() << "canonical key did not parse back: " << e.what()
+                    << " for " << json_quote(instance);
     }
   }
 }

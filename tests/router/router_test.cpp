@@ -173,6 +173,31 @@ TEST(Router, PingHealthAndMalformedLinesMatchServerBytes) {
   EXPECT_EQ(value_of(fields, "shards_up"), "2");
 }
 
+TEST(Router, WhitespaceOnlyInstanceAnswersTypedErrorAndRouterSurvives) {
+  // The router parses every solve line for its routing key, so an
+  // instance of whitespace controls only must fail that parse typed and
+  // relay the shard's error, not take the front tier down.
+  TestFleet fleet(1);
+  WireClient client(fleet.port());
+  ASSERT_TRUE(client.connected());
+  for (const std::string& line :
+       {std::string(R"({"type":"solve","objective":"period","problem":"\f"})"),
+        std::string(
+            R"({"type":"solve","objective":"period","problem":"\u000b"})")}) {
+    client.send_line(line);
+    EXPECT_EQ(client.recv_line(),
+              R"({"type":"error","message":"line 1: instance error: line 1: no processors declared"})")
+        << line;
+  }
+  client.send_line(R"({"type":"ping"})");
+  EXPECT_EQ(client.recv_line(), R"({"type":"pong"})");
+
+  WireClient again(fleet.port());
+  ASSERT_TRUE(again.connected());
+  again.send_line(R"({"type":"ping"})");
+  EXPECT_EQ(again.recv_line(), R"({"type":"pong"})");
+}
+
 TEST(Router, StatsMergeShardCountersUnderRouterFields) {
   TestFleet fleet(2);
   WireClient client(fleet.port());

@@ -118,6 +118,60 @@ TEST(Server, MalformedLineGetsStructuredErrorAndConnectionSurvives) {
   EXPECT_EQ(counter(harness.server(), "errors"), 3u);
 }
 
+/// Solve lines whose instance is one line of whitespace controls only
+/// (\f, and \v spelled as \u000b): a blank instance, so a typed error.
+const std::vector<std::string> kWhitespaceInstanceLines = {
+    R"({"type":"solve","objective":"period","problem":"\f"})",
+    R"({"type":"solve","objective":"period","problem":"\u000b"})",
+    R"({"type":"solve","objective":"period","problem":" \f\u000b\t\r"})"};
+constexpr const char* kBlankInstanceError =
+    R"({"type":"error","message":"line 1: instance error: line 1: no processors declared"})";
+
+TEST(Server, WhitespaceOnlyInstanceAnswersTypedErrorAndSessionSurvives) {
+  TestServer harness;
+  WireClient client(harness.port());
+  ASSERT_TRUE(client.connected());
+  for (const std::string& line : kWhitespaceInstanceLines) {
+    client.send_line(line);
+    EXPECT_EQ(client.recv_line(), kBlankInstanceError) << line;
+  }
+  client.send_line(R"({"type":"ping"})");
+  EXPECT_EQ(client.recv_line(), R"({"type":"pong"})");
+
+  // The process still serves a fresh connection.
+  WireClient again(harness.port());
+  ASSERT_TRUE(again.connected());
+  again.send_line(R"({"type":"ping"})");
+  EXPECT_EQ(again.recv_line(), R"({"type":"pong"})");
+}
+
+TEST(Server, StdioWhitespaceOnlyInstanceAnswersTypedErrorThenPong) {
+  int in_pipe[2], out_pipe[2];
+  ASSERT_EQ(::pipe(in_pipe), 0);
+  ASSERT_EQ(::pipe(out_pipe), 0);
+  std::string input;
+  for (const std::string& line : kWhitespaceInstanceLines) input += line + "\n";
+  input += R"({"type":"ping"})" "\n";
+  ASSERT_EQ(::write(in_pipe[1], input.data(), input.size()),
+            static_cast<ssize_t>(input.size()));
+  ::close(in_pipe[1]);
+
+  Server server(ServerOptions{.jobs = 1});
+  server.serve_stream(in_pipe[0], out_pipe[1]);
+  ::close(out_pipe[1]);
+  ::close(in_pipe[0]);
+
+  util::FdLineReader reader(out_pipe[0]);
+  std::vector<std::string> lines;
+  std::string line;
+  while (reader.next_line(line)) lines.push_back(line);
+  ::close(out_pipe[0]);
+  std::vector<std::string> expected(kWhitespaceInstanceLines.size(),
+                                    kBlankInstanceError);
+  expected.push_back(R"({"type":"pong"})");
+  EXPECT_EQ(lines, expected);
+}
+
 TEST(Server, PingAndStatsAnswerInline) {
   TestServer harness;
   WireClient client(harness.port());

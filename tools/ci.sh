@@ -1,7 +1,9 @@
 #!/bin/sh
 # CI entry point: the tier-1 verify line (see ROADMAP.md) with warnings
 # promoted to errors, then the full ctest suite (unit + property tests and
-# the CLI exit-code smoke test, including solve-batch and pareto), then an
+# the CLI exit-code smoke test, including solve-batch and pareto), then a
+# blank-instance smoke (a whitespace-only instance piped into serve
+# --stdio answers a typed error, then pong), then an
 # eval-perf smoke stage (bench_eval_hot_path --quick: SoA batch/delta
 # evaluations bit-identity-gated against the scalar path, evals/sec and
 # nodes/sec written to BENCH_eval.json), then a
@@ -24,8 +26,8 @@
 # asserting the transition counters and breaker_state gauges), then a
 # ThreadSanitizer pass over the threaded executor/plan/sweep/server/cache/
 # router/obs/resilience/net subsystems plus the wire fuzz, then an
-# ASan/UBSan pass over the fuzz suites, the MIP engine and every suite that
-# drives the socket layer (src/net/).
+# ASan/UBSan pass over the fuzz suites, the instance text parser, the MIP
+# engine and every suite that drives the socket layer (src/net/).
 #
 # The ctest suite runs staged by label (tier1, then the exact-backend
 # crosscheck harness, then the fuzz slices), followed by a CLI-level
@@ -84,6 +86,20 @@ done
 rm -rf "$CROSS_DIR"
 trap - EXIT
 echo "ci: backend cross-check green ($BACKENDS agree on value=$REFERENCE)"
+
+# Blank-instance smoke: an instance of one whitespace control (JSON "\f")
+# is a blank instance, so `serve --stdio` answers one typed error line,
+# then the ping's pong, and exits 0 at EOF instead of crashing.
+STDIO_OUT=$(printf '%s\n%s\n' '{"type":"solve","objective":"period","problem":"\f"}' \
+    '{"type":"ping"}' | "$BUILD_DIR/pipeopt" serve --stdio) || {
+  echo "ci: serve --stdio failed on a blank instance" >&2; exit 1;
+}
+STDIO_WANT='{"type":"error","message":"line 1: instance error: line 1: no processors declared"}
+{"type":"pong"}'
+[ "$STDIO_OUT" = "$STDIO_WANT" ] || {
+  echo "ci: serve --stdio answered a blank instance with: $STDIO_OUT" >&2; exit 1;
+}
+echo "ci: blank-instance smoke green (typed error, then pong)"
 
 # Eval-perf smoke: the evaluation hot path in quick mode. The bench
 # cross-checks every SoA batch/delta evaluation bit-identical against the
@@ -553,7 +569,8 @@ fi
 # Address+UB sanitizer pass over the fuzz surfaces: the wire-protocol
 # robustness fuzz (truncations, byte mutations, duplicate/unknown fields)
 # and the solver-property fuzz, where a latent out-of-bounds or UB would
-# hide behind a benign-looking wrong answer — plus the server, router,
+# hide behind a benign-looking wrong answer — plus the instance text
+# parser (ProblemIo), which strtod-reads tokens in place, the server, router,
 # chaos and net suites, which drive all raw socket code (src/net/) and the
 # line reader's buffer arithmetic. Probed like the tsan pass so
 # a toolchain without libasan skips loudly instead of failing the merge.
@@ -562,7 +579,7 @@ if echo 'int main(){}' | "${CXX:-c++}" -fsanitize=address,undefined -x c++ - -o 
   cmake -B "$BUILD_DIR-asan" -S . -DPIPEOPT_WERROR=ON -DPIPEOPT_ASAN=ON
   cmake --build "$BUILD_DIR-asan" -j "$(nproc)" --target pipeopt_tests
   "$BUILD_DIR-asan/pipeopt_tests" \
-      --gtest_filter='*WireFuzz*:*PropertyFuzz*:*MappingFuzz*:MipLp.*:MipBackend.*:Server.*:Router.*:Chaos.*:Net.*:LineCap.*:FdLineReader.*'
+      --gtest_filter='*WireFuzz*:*PropertyFuzz*:*MappingFuzz*:ProblemIo.*:MipLp.*:MipBackend.*:Server.*:Router.*:Chaos.*:Net.*:LineCap.*:FdLineReader.*'
 else
   echo "ci: Address/UB sanitizer unavailable, skipping the asan pass" >&2
 fi
